@@ -11,11 +11,11 @@ bit-identical outputs and gradients on every run.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Tensor",
@@ -221,6 +221,67 @@ def _pair(v) -> tuple[int, int]:
     return (int(v), int(v))
 
 
+def _padded(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
+    """``x`` with ``ph`` rows and ``pw`` columns of ``value`` added on both sides."""
+    if not (ph or pw):
+        return x
+    B, C, H, W = x.shape
+    shape = (B, C, H + 2 * ph, W + 2 * pw)
+    xp = np.zeros(shape) if value == 0.0 else np.full(shape, value)
+    xp[:, :, ph : ph + H, pw : pw + W] = x
+    return xp
+
+
+def _unpad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Inverse of ``_padded``: drop the border again."""
+    return a[:, :, ph : a.shape[2] - ph, pw : a.shape[3] - pw]
+
+
+def _span(offset: int, n: int, stride: int) -> slice:
+    """``n`` indices from ``offset`` on, ``stride`` apart."""
+    return slice(offset, offset + stride * (n - 1) + 1, stride)
+
+
+def _tap(a: np.ndarray, di: int, dj: int, OH: int, OW: int, stride: int) -> np.ndarray:
+    """Strided view of the OH x OW pixels one kernel tap, offset (di, dj), meets."""
+    return a[:, :, _span(di, OH, stride), _span(dj, OW, stride)]
+
+
+@functools.lru_cache(maxsize=256)
+def _band_index(kh: int, kw: int, Wp: int, OW: int, stride: int, dilation: int):
+    """(row, column) of every band entry, taps in row-major order, output
+    column fastest: kernel row i's tap j meets input column ow*stride +
+    j*dilation of the stacked row block i for output column ow. The arrays
+    are shared between calls, so they are read-only."""
+    i, j, ow = np.meshgrid(np.arange(kh), np.arange(kw), np.arange(OW), indexing="ij")
+    rows, cols = (i * Wp + ow * stride + j * dilation).ravel(), ow.ravel()
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _row_stack(xp: np.ndarray, kh: int, OH: int, stride: int, dilation: int) -> np.ndarray:
+    """(C, B*OH, kh*Wp): for each output row, the kh padded input rows its
+    window covers, laid side by side."""
+    B, C, _, Wp = xp.shape
+    rows = np.empty((C, B, OH, kh, Wp))
+    xt = xp.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        rows[:, :, :, i] = xt[:, :, _span(i * dilation, OH, stride)]
+    return rows.reshape(C, B * OH, kh * Wp)
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int, OH: int, OW: int, stride: int, dilation: int, groups: int):
+    """(B, groups, C/groups*kh*kw, OH*OW) patch matrix of the padded input."""
+    B, C = xp.shape[:2]
+    if kh == kw == 1 and stride == 1:
+        return xp.reshape(B, groups, C // groups, OH * OW)
+    cols = np.empty((B, C, kh, kw, OH, OW))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = _tap(xp, i * dilation, j * dilation, OH, OW, stride)
+    return cols.reshape(B, groups, (C // groups) * kh * kw, OH * OW)
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -233,6 +294,13 @@ def conv2d(
 
     x: (B, C_in, H, W); weight: (C_out, C_in/groups, kh, kw).
     Output spatial size follows the usual floor formula.
+
+    Depthwise convolutions run as one batched matmul per call: the stacked
+    input rows each output row reads, (C, B*OH, kh*Wp), times a banded
+    (C, kh*Wp, OW) matrix that holds each channel's kernel taps. Every
+    other convolution is one grouped matmul of the weight matrix with the
+    patch matrix. Backward rebuilds the row stack or the patches from the
+    padded input instead of keeping them on the tape.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D (B,C,H,W), got {x.shape}")
@@ -253,55 +321,63 @@ def conv2d(
     OH = (Hp - KH) // stride + 1
     OW = (Wp - KW) // stride + 1
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    # (B, C, OH, OW, kh, kw) view; dilation realized by subsampling the window
-    v = sliding_window_view(xp, (KH, KW), axis=(2, 3))[:, :, ::stride, ::stride, ::dilation, ::dilation]
+    xp = _padded(x.data, ph, pw)
     wd = weight.data
     depthwise = groups == C and Cg == 1 and Cout == C
     if depthwise:
-        out_data = np.einsum("bchwij,cij->bchw", v, wd[:, 0], optimize=True)
+        band_idx = _band_index(kh, kw, Wp, OW, stride, dilation)
+
+        def band() -> np.ndarray:
+            m = np.zeros((C, kh * Wp, OW))
+            m[:, band_idx[0], band_idx[1]] = np.repeat(wd.reshape(C, kh * kw), OW, axis=1)
+            return m
+
+        out_data = np.matmul(_row_stack(xp, kh, OH, stride, dilation), band())
+        out_data = out_data.reshape(C, B, OH, OW).transpose(1, 0, 2, 3)
     else:
-        out_data = np.empty((B, Cout, OH, OW))
         Og = Cout // groups
-        for gi in range(groups):
-            cs = slice(gi * Cg, (gi + 1) * Cg)
-            os_ = slice(gi * Og, (gi + 1) * Og)
-            out_data[:, os_] = np.einsum("bchwij,ocij->bohw", v[:, cs], wd[os_], optimize=True)
+        wm = wd.reshape(groups, Og, Cg * kh * kw)
+        out_data = np.matmul(wm, _im2col(xp, kh, kw, OH, OW, stride, dilation, groups))
+        out_data = out_data.reshape(B, Cout, OH, OW)
     out = Tensor(out_data, requires_grad=_needs_grad(x, weight))
 
-    def bwd(g):
-        dw = None
-        dx = None
+    def bwd_depthwise(g):
+        gt = g.transpose(1, 0, 2, 3).reshape(C, B * OH, OW)
+        dw = dx = None
         if weight.requires_grad:
-            if depthwise:
-                dw = np.einsum("bchwij,bchw->cij", v, g, optimize=True)[:, None]
-            else:
-                dw = np.empty_like(wd)
-                Og = Cout // groups
-                for gi in range(groups):
-                    cs = slice(gi * Cg, (gi + 1) * Cg)
-                    os_ = slice(gi * Og, (gi + 1) * Og)
-                    dw[os_] = np.einsum("bchwij,bohw->ocij", v[:, cs], g[:, os_], optimize=True)
+            full = np.matmul(_row_stack(xp, kh, OH, stride, dilation).swapaxes(1, 2), gt)
+            dw = full[:, band_idx[0], band_idx[1]].reshape(C, 1, kh, kw, OW).sum(axis=-1)
         if x.requires_grad:
-            dxp = np.zeros((B, C, Hp, Wp))
-            Og = Cout // groups
+            # one matmul per kernel row, so each scatter-add moves whole
+            # contiguous (OH, Wp) blocks
+            band_t = np.ascontiguousarray(band().reshape(C, kh, Wp, OW).swapaxes(2, 3))
+            dxt = np.zeros((C, B, Hp, Wp))
             for i in range(kh):
-                for j in range(kw):
-                    hi = slice(i * dilation, i * dilation + stride * OH, stride)
-                    wj = slice(j * dilation, j * dilation + stride * OW, stride)
-                    if depthwise:
-                        dxp[:, :, hi, wj] += g * wd[None, :, 0, i, j, None, None]
-                    else:
-                        for gi in range(groups):
-                            cs = slice(gi * Cg, (gi + 1) * Cg)
-                            os_ = slice(gi * Og, (gi + 1) * Og)
-                            dxp[:, cs, hi, wj] += np.einsum(
-                                "bohw,oc->bchw", g[:, os_], wd[os_, :, i, j], optimize=True
-                            )
-            dx = dxp[:, :, ph : ph + H, pw : pw + W] if (ph or pw) else dxp
+                drow = np.matmul(gt, band_t[:, i]).reshape(C, B, OH, Wp)
+                dxt[:, :, _span(i * dilation, OH, stride)] += drow
+            dx = _unpad(dxt.transpose(1, 0, 2, 3), ph, pw)
         return (dx, dw)
 
-    return _record(out, (x, weight), bwd)
+    def bwd_grouped(g):
+        gm = g.reshape(B, groups, Og, OH * OW)
+        dw = dx = None
+        if weight.requires_grad:
+            cols = _im2col(xp, kh, kw, OH, OW, stride, dilation, groups)
+            dw = np.matmul(gm, cols.swapaxes(-1, -2)).sum(axis=0).reshape(wd.shape)
+        if x.requires_grad:
+            dcols = np.matmul(wm.swapaxes(1, 2), gm)
+            if kh == kw == 1 and stride == 1:
+                dxp = dcols.reshape(B, C, Hp, Wp)
+            else:
+                dcols = dcols.reshape(B, C, kh, kw, OH, OW)
+                dxp = np.zeros((B, C, Hp, Wp))
+                for i in range(kh):
+                    for j in range(kw):
+                        _tap(dxp, i * dilation, j * dilation, OH, OW, stride)[...] += dcols[:, :, i, j]
+            dx = _unpad(dxp, ph, pw)
+        return (dx, dw)
+
+    return _record(out, (x, weight), bwd_depthwise if depthwise else bwd_grouped)
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -334,57 +410,63 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return _record(out, (x, gamma, beta), bwd)
 
 
-def _pool_prep(name: str, x: Tensor, kernel: int, stride: int, padding: int, pad_value: float):
+def _window_taps(a: np.ndarray, kernel: int, OH: int, OW: int, stride: int) -> list[np.ndarray]:
+    """One strided view per window tap, in row-major window order."""
+    return [_tap(a, i, j, OH, OW, stride) for i in range(kernel) for j in range(kernel)]
+
+
+def _pool_prep(name: str, x: Tensor, kernel: int, stride: int, padding: int) -> tuple[int, int]:
     if x.ndim != 4:
         raise ShapeError(name, f"input must be 4-D, got {x.shape}")
     B, C, H, W = x.shape
     Hp, Wp = H + 2 * padding, W + 2 * padding
     if Hp < kernel or Wp < kernel:
         raise ShapeError(name, f"kernel {kernel} exceeds padded input {Hp}x{Wp}")
-    OH = (Hp - kernel) // stride + 1
-    OW = (Wp - kernel) // stride + 1
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)), constant_values=pad_value)
-    else:
-        xp = x.data
-    v = sliding_window_view(xp, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return B, C, H, W, Hp, Wp, OH, OW, v
+    return (Hp - kernel) // stride + 1, (Wp - kernel) // stride + 1
 
 
 def max_pool2d(x: Tensor, kernel: int = 3, stride: int = 1, padding: int = 1) -> Tensor:
-    B, C, H, W, Hp, Wp, OH, OW, v = _pool_prep("max_pool2d", x, kernel, stride, padding, -np.inf)
-    flat = v.reshape(B, C, OH, OW, kernel * kernel)
-    idx = flat.argmax(axis=-1)  # first max wins on ties, deterministic
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0], requires_grad=x.requires_grad)
+    OH, OW = _pool_prep("max_pool2d", x, kernel, stride, padding)
+    taps = _window_taps(_padded(x.data, padding, padding, -np.inf), kernel, OH, OW, stride)
+    out_data = taps[0].copy()
+    for t in taps[1:]:
+        np.maximum(out_data, t, out=out_data)
+    out = Tensor(out_data, requires_grad=x.requires_grad)
 
     def bwd(g):
-        dxp = np.zeros((B, C, Hp, Wp))
-        for p in range(kernel * kernel):
-            i, j = divmod(p, kernel)
-            contrib = g * (idx == p)
-            dxp[:, :, i : i + stride * OH : stride, j : j + stride * OW : stride] += contrib
-        if padding:
-            return (dxp[:, :, padding : padding + H, padding : padding + W],)
-        return (dxp,)
+        # each output's gradient goes to the first tap, row-major, that
+        # holds the maximum; ``pending`` marks outputs not yet routed. The
+        # input is padded again here so the tape holds no padded copy.
+        xp = _padded(x.data, padding, padding, -np.inf)
+        dxp = np.zeros(xp.shape)
+        pending = np.ones(out_data.shape, dtype=bool)
+        taps = zip(_window_taps(xp, kernel, OH, OW, stride), _window_taps(dxp, kernel, OH, OW, stride))
+        for t, dt in taps:
+            hit = (t == out_data) & pending
+            pending ^= hit
+            dt += g * hit
+        return (_unpad(dxp, padding, padding),)
 
     return _record(out, (x,), bwd)
 
 
 def avg_pool2d(x: Tensor, kernel: int = 3, stride: int = 1, padding: int = 1) -> Tensor:
     # padding contributes zeros and is included in the divisor
-    B, C, H, W, Hp, Wp, OH, OW, v = _pool_prep("avg_pool2d", x, kernel, stride, padding, 0.0)
-    out = Tensor(v.mean(axis=(-2, -1)), requires_grad=x.requires_grad)
+    OH, OW = _pool_prep("avg_pool2d", x, kernel, stride, padding)
+    taps = _window_taps(_padded(x.data, padding, padding), kernel, OH, OW, stride)
     inv_k2 = 1.0 / (kernel * kernel)
+    acc = taps[0].copy()
+    for t in taps[1:]:
+        acc += t
+    out = Tensor(acc * inv_k2, requires_grad=x.requires_grad)
+    B, C, H, W = x.shape
 
     def bwd(g):
-        dxp = np.zeros((B, C, Hp, Wp))
+        dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
         gk = g * inv_k2
-        for p in range(kernel * kernel):
-            i, j = divmod(p, kernel)
-            dxp[:, :, i : i + stride * OH : stride, j : j + stride * OW : stride] += gk
-        if padding:
-            return (dxp[:, :, padding : padding + H, padding : padding + W],)
-        return (dxp,)
+        for dt in _window_taps(dxp, kernel, OH, OW, stride):
+            dt += gk
+        return (_unpad(dxp, padding, padding),)
 
     return _record(out, (x,), bwd)
 

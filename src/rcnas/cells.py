@@ -271,6 +271,8 @@ class DiscreteArch:
         for kind, body in kinds.items():
             if not isinstance(body, dict) or "nodes" not in body:
                 raise ArchFormatError(f"kind {kind!r}: missing 'nodes'")
+            if not isinstance(body["nodes"], dict):
+                raise ArchFormatError(f"kind {kind!r}: 'nodes' must be an object keyed by node index")
             nodes = {}
             for j_str, picks in body["nodes"].items():
                 try:
@@ -283,7 +285,10 @@ class DiscreteArch:
                 for item in picks:
                     if not isinstance(item, dict) or set(item) != {"pred", "op"}:
                         raise ArchFormatError(f"kind {kind!r}: node {j} edge entries need exactly 'pred' and 'op'")
-                    parsed.append((int(item["pred"]), str(item["op"])))
+                    pred, op = item["pred"], item["op"]
+                    if not isinstance(pred, int) or isinstance(pred, bool) or not isinstance(op, str):
+                        raise ArchFormatError(f"kind {kind!r}: node {j} edge needs an integer 'pred' and a string 'op'")
+                    parsed.append((pred, op))
                 nodes[j] = tuple(parsed)
             choices[kind] = nodes
         return cls(choices)

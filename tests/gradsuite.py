@@ -58,6 +58,9 @@ _CONV_CONFIGS = [
     (6, 6, 5, 1, 4, 2, 6),  # depthwise, dilated
     (2, 4, 3, 2, 1, 1, 2),
     (3, 3, 3, 1, 1, 1, 3),
+    (4, 4, 5, 2, 4, 2, 4),  # depthwise, dilated, strided (reduce-cell dil_sep_conv_5x5)
+    (4, 4, 5, 2, 2, 1, 4),  # depthwise 5x5, strided
+    (4, 4, 1, 2, 0, 1, 1),  # 1x1 strided (factorized reduce)
 ]
 
 

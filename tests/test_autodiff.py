@@ -103,6 +103,103 @@ def test_max_pool_deterministic_tie_break():
         tape.backward(ad.tensor_sum(y))
     assert x.grad[0, 0, 0, 0] == 1.0 and x.grad[0, 0, 0, 1] == 0.0
 
+    # 3x3 padded windows over a constant input: every real tap ties, so each
+    # output's gradient goes to the first real tap of its window, row-major
+    # (padding is -inf and never wins)
+    x = Tensor(np.full((1, 1, 4, 5), 2.0), requires_grad=True)
+    with Tape() as tape:
+        y = ad.max_pool2d(x, 3, stride=1, padding=1)
+        tape.backward(ad.tensor_sum(y))
+    expect = np.zeros((4, 5))
+    for oh in range(4):
+        for ow in range(5):
+            expect[max(oh - 1, 0), max(ow - 1, 0)] += 1.0
+    np.testing.assert_array_equal(x.grad[0, 0], expect)
+
+
+def _conv_reference(x, w, stride, padding, dilation, groups):
+    """Grouped cross-correlation straight from its definition: one
+    window dot product per output element."""
+    ph, pw = padding if isinstance(padding, tuple) else (padding, padding)
+    B, C, H, W = x.shape
+    Cout, Cg, kh, kw = w.shape
+    Og = Cout // groups
+    xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw))
+    xp[:, :, ph : ph + H, pw : pw + W] = x
+    OH = (H + 2 * ph - (kh - 1) * dilation - 1) // stride + 1
+    OW = (W + 2 * pw - (kw - 1) * dilation - 1) // stride + 1
+    out = np.zeros((B, Cout, OH, OW))
+    for b in range(B):
+        for o in range(Cout):
+            c0 = (o // Og) * Cg
+            for oh in range(OH):
+                for ow in range(OW):
+                    acc = 0.0
+                    for c in range(Cg):
+                        for i in range(kh):
+                            for j in range(kw):
+                                acc += xp[b, c0 + c, oh * stride + i * dilation, ow * stride + j * dilation] * w[o, c, i, j]
+                    out[b, o, oh, ow] = acc
+    return out
+
+
+_CONV_FORWARD_CASES = [
+    # (c_in, c_out, k, stride, padding, dilation, groups, (H, W))
+    *[
+        (4, 4, k, s, d * (k - 1) // 2, d, 4, (7, 7))
+        for k in (3, 5)
+        for d in (1, 2)
+        for s in (1, 2)
+    ],  # depthwise, as in sep_conv and dil_sep_conv
+    (4, 6, 1, 1, 0, 1, 1, (6, 6)),  # 1x1
+    (4, 6, 1, 2, 0, 1, 1, (7, 7)),  # 1x1 strided (factorized reduce)
+    (4, 8, 1, 1, 0, 1, 2, (5, 5)),  # grouped 1x1
+    (8, 8, 1, 1, 0, 1, 4, (5, 5)),
+    (4, 6, 3, 2, 2, 2, 1, (8, 8)),  # dense 3x3, dilated, strided
+    (3, 5, 3, 1, (1, 2), 1, 1, (5, 8)),  # tuple padding, non-square input
+    (4, 4, 3, 2, (2, 1), 1, 4, (6, 9)),
+]
+
+
+@pytest.mark.parametrize("cfg", _CONV_FORWARD_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_conv2d_forward_matches_definition(cfg):
+    c_in, c_out, k, stride, padding, dilation, groups, (H, W) = cfg
+    rng = np.random.default_rng(np.random.SeedSequence(31))
+    x = rng.standard_normal((2, c_in, H, W))
+    w = rng.standard_normal((c_out, c_in // groups, k, k))
+    out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, dilation=dilation, groups=groups)
+    ref = _conv_reference(x, w, stride, padding, dilation, groups)
+    assert out.shape == ref.shape
+    np.testing.assert_allclose(out.data, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def _pool_reference(x, reduce, stride, pad_value):
+    """3x3 pool with padding 1 from its definition."""
+    B, C, H, W = x.shape
+    xp = np.full((B, C, H + 2, W + 2), pad_value)
+    xp[:, :, 1 : H + 1, 1 : W + 1] = x
+    OH, OW = (H - 1) // stride + 1, (W - 1) // stride + 1
+    out = np.zeros((B, C, OH, OW))
+    for b in range(B):
+        for c in range(C):
+            for oh in range(OH):
+                for ow in range(OW):
+                    window = xp[b, c, oh * stride : oh * stride + 3, ow * stride : ow * stride + 3]
+                    out[b, c, oh, ow] = reduce(window)
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("hw", [(6, 6), (5, 7)])
+def test_pools_forward_match_definition(stride, hw):
+    rng = np.random.default_rng(np.random.SeedSequence(37))
+    x = rng.standard_normal((2, 3, *hw))
+    # max pads with -inf; avg pads with zeros that count in the divisor of 9
+    max_ref = _pool_reference(x, np.max, stride, -np.inf)
+    avg_ref = _pool_reference(x, lambda win: win.sum() / 9.0, stride, 0.0)
+    np.testing.assert_array_equal(ad.max_pool2d(Tensor(x), 3, stride, 1).data, max_ref)
+    np.testing.assert_allclose(ad.avg_pool2d(Tensor(x), 3, stride, 1).data, avg_ref, rtol=1e-12, atol=1e-15)
+
 
 def test_grad_check_reports_bad_backward_coordinates():
     # negative control: a deliberately wrong backward must be caught,

@@ -214,6 +214,24 @@ def test_invalid_arch_document_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "nodes",
+    [
+        {"2": [{"pred": None, "op": "sep_conv_3x3"}, {"pred": 1, "op": "sep_conv_3x3"}]},
+        [],
+    ],
+    ids=["null-pred", "nodes-list"],
+)
+def test_malformed_arch_document_exits_2_without_traceback(tmp_path, capsys, nodes):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(json.dumps({"schema_version": 1, "kinds": {"normal.0": {"nodes": nodes}}}))
+    rc = main(["cost", "--config", str(cfg_path), "--arch", str(arch_path)])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_poisoned_search_exits_3(tmp_path, monkeypatch):
     import rcnas.cli as cli_mod
     from rcnas.data import make_blobs
