@@ -170,9 +170,16 @@ class Tape:
             for inp, gin in zip(inputs, grads):
                 if gin is None or not inp.requires_grad:
                     continue
-                if inp.grad is None:
-                    inp.grad = np.zeros_like(inp.data)
-                inp.grad += gin
+                if inp.grad is not None:
+                    inp.grad += gin
+                    continue
+                if np.shape(gin) != inp.data.shape:
+                    raise ShapeError("backward", f"gradient of shape {np.shape(gin)} for input of shape {inp.data.shape}")
+                # a copy, never gin itself (a rule may return one array for
+                # several inputs), laid out like the input, as BLAS picks its
+                # kernel, and with it the rounding, by memory order
+                inp.grad = np.empty_like(inp.data, dtype=np.float64)
+                inp.grad[...] = gin
 
     def clear(self) -> None:
         self._entries.clear()

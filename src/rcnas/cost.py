@@ -10,7 +10,11 @@ u row. Under the TopK scope only the top-2 strongest incoming edges per
 intermediate node count (matching what discretization will keep); under
 FullDag every edge counts.
 
-The gradient has the closed form  dPhi/dtheta_o = F_o(theta) * (u_o - u.F(theta)).
+Because cells sharing a logits vector only ever add their rows, the model
+works on the per-vector sums, packed once per table into a dense
+U[key, metric, op] (see ``PackedCost``). With the scope as a boolean key
+mask, Phi = fixed + sum_k mask_k * U_k . F_k and the gradient has the
+closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ __all__ = [
     "CostScope",
     "ConstraintBox",
     "CostTable",
+    "PackedCost",
     "build_cost_table",
     "expected_cost",
     "cost_gradient",
@@ -117,6 +122,14 @@ class CostTable:
     entries: list[EdgeCost]
     fixed: np.ndarray  # (N_METRICS,)
     templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
+    _packed: PackedCost | None = field(default=None, init=False, repr=False, compare=False)
+
+    def packed(self) -> PackedCost:
+        """The dense form of ``entries``, built at first use. The entries
+        must not change after that."""
+        if self._packed is None:
+            self._packed = PackedCost.from_table(self)
+        return self._packed
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
@@ -177,12 +190,94 @@ def build_cost_table(plan: NetworkPlan) -> CostTable:
     return CostTable(entries=entries, fixed=_fixed_costs(plan), templates=templates)
 
 
-ThetaMap = dict[tuple[str, tuple[int, int]], np.ndarray]
+ThetaKey = tuple[str, tuple[int, int]]
+ThetaMap = dict[ThetaKey, np.ndarray]
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+@dataclass(frozen=True, eq=False)
+class PackedCost:
+    """A cost table's theta-free data, one row per ``theta_keys()`` entry.
+
+    ``U[k, m, o]`` is metric m of op o summed over every cell that shares
+    logits vector k, zero-padded to the widest template; ``valid[k, o]``
+    marks the real ops. Logits travel as one flat vector: the keys' vectors
+    concatenated in the same order.
+    """
+
+    keys: tuple[ThetaKey, ...]
+    sizes: tuple[int, ...]  # ops per key
+    U: np.ndarray  # (K, N_METRICS, O)
+    valid: np.ndarray  # (K, O) bool
+
+    @classmethod
+    def from_table(cls, table: CostTable) -> PackedCost:
+        keys = tuple(table.theta_keys())
+        sizes = tuple(table.templates[kind].n_ops for kind, _ in keys)
+        width = max(sizes, default=0)
+        row = {key: k for k, key in enumerate(keys)}
+        rows = np.zeros(len(table.entries), dtype=np.intp)
+        blocks = np.zeros((len(table.entries), N_METRICS, width))
+        for i, e in enumerate(table.entries):
+            key = (e.kind, e.edge)
+            if key not in row:
+                raise ValueError(f"cost entry {e.owner!r} has no logits vector {key!r} in the templates")
+            k = rows[i] = row[key]
+            if e.u.shape != (N_METRICS, sizes[k]):
+                raise ValueError(f"cost entry {e.owner!r} {key!r} has shape {e.u.shape}, expected {(N_METRICS, sizes[k])}")
+            blocks[i, :, : sizes[k]] = e.u
+        U = np.zeros((len(keys), N_METRICS, width))
+        np.add.at(U, rows, blocks)  # in entry order, as the cells sharing a key add up
+        valid = np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None]
+        return cls(keys, sizes, U, valid)
+
+    def flatten(self, theta: ThetaMap) -> np.ndarray:
+        """The logits map as one flat float64 vector in key order. Raises
+        ValueError naming a missing key, an extra key or a wrong-length vector."""
+        vecs = []
+        for key, n in zip(self.keys, self.sizes):
+            try:
+                v = theta[key]
+            except KeyError:
+                raise ValueError(f"logits map is missing key {key!r}") from None
+            shape = v.shape if isinstance(v, np.ndarray) else np.shape(v)
+            if shape != (n,):
+                raise ValueError(f"logits for {key!r} have shape {shape}, expected ({n},)")
+            vecs.append(v)
+        if len(theta) != len(self.keys):
+            extra = next(key for key in theta if key not in set(self.keys))
+            raise ValueError(f"logits map has extra key {extra!r}")
+        return np.concatenate(vecs, dtype=np.float64)
+
+    def unflatten(self, flat: np.ndarray) -> ThetaMap:
+        """Views of a flat vector, keyed in key order."""
+        out = {}
+        start = 0
+        for key, n in zip(self.keys, self.sizes):
+            out[key] = flat[start : start + n]
+            start += n
+        return out
+
+    def softmax(self, flat: np.ndarray) -> np.ndarray:
+        """Per-key softmax on the (K, O) grid; padding gets weight zero."""
+        z = np.full(self.valid.shape, -np.inf)
+        z[self.valid] = flat
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def scope_mask(self, kept: dict[str, frozenset] | None) -> np.ndarray | None:
+        """Boolean key mask of an edge selection; None keeps every key."""
+        if kept is None:
+            return None
+        return np.array([edge in kept[kind] for kind, edge in self.keys], dtype=bool)
+
+    def gradient(self, F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """dPhi/dtheta on the grid, (K, N_METRICS, O): F * (U - U.F), with
+        exact zeros for keys outside the mask."""
+        mean = np.einsum("kmo,ko->km", self.U, F)
+        g = F[:, None, :] * (self.U - mean[:, :, None])
+        if mask is not None:
+            g[~mask] = 0.0
+        return g
 
 
 def scope_edges(theta: ThetaMap, templates: dict[str, cells.CellTemplate]) -> dict[str, frozenset]:
@@ -223,13 +318,13 @@ def expected_cost(
     ``frozen_scope`` overrides the TopK edge selection; projection uses it
     to keep the active set fixed while logits move.
     """
-    kept = _resolve_scope(theta, table, scope, frozen_scope)
-    phi = table.fixed.copy()
-    for e in table.entries:
-        if kept is not None and e.edge not in kept[e.kind]:
-            continue
-        phi += e.u @ _softmax(theta[(e.kind, e.edge)])
-    return phi
+    packed = table.packed()
+    F = packed.softmax(packed.flatten(theta))
+    mask = packed.scope_mask(_resolve_scope(theta, table, scope, frozen_scope))
+    per_key = np.einsum("kmo,ko->km", packed.U, F)
+    if mask is not None:
+        per_key = per_key[mask]
+    return table.fixed + per_key.sum(axis=0)
 
 
 def cost_gradient(
@@ -240,18 +335,13 @@ def cost_gradient(
 ) -> dict[tuple[str, tuple[int, int]], np.ndarray]:
     """dPhi/dtheta for every logits vector, shaped (N_METRICS, n_ops).
 
-    Closed form per edge: F * (u - (u.F)) per metric; edges outside the
-    scope get exact zeros. Contributions from cells sharing a kind sum.
+    Closed form per logits vector: F * (U - (U.F)) per metric, U summing
+    the cells that share it; vectors outside the scope get exact zeros.
     """
-    kept = _resolve_scope(theta, table, scope, frozen_scope)
-    grads = {key: np.zeros((N_METRICS, len(theta[key]))) for key in table.theta_keys()}
-    for e in table.entries:
-        if kept is not None and e.edge not in kept[e.kind]:
-            continue
-        F = _softmax(theta[(e.kind, e.edge)])
-        mean = e.u @ F  # (N_METRICS,)
-        grads[(e.kind, e.edge)] += F[None, :] * (e.u - mean[:, None])
-    return grads
+    packed = table.packed()
+    F = packed.softmax(packed.flatten(theta))
+    g = packed.gradient(F, packed.scope_mask(_resolve_scope(theta, table, scope, frozen_scope)))
+    return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(packed.keys, packed.sizes))}
 
 
 def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
@@ -287,15 +377,10 @@ def phi_range(table: CostTable) -> tuple[np.ndarray, np.ndarray]:
     Cells sharing a logits vector commit to the same op, so the extremes
     are taken over each vector's summed cost rows, per metric.
     """
-    summed: dict[tuple[str, tuple[int, int]], np.ndarray] = {}
-    for e in table.entries:
-        key = (e.kind, e.edge)
-        summed[key] = e.u.copy() if key not in summed else summed[key] + e.u
-    lo = table.fixed.copy()
-    hi = table.fixed.copy()
-    for u in summed.values():
-        lo += u.min(axis=1)
-        hi += u.max(axis=1)
+    packed = table.packed()
+    real = packed.valid[:, None, :]
+    lo = table.fixed + np.where(real, packed.U, np.inf).min(axis=2).sum(axis=0)
+    hi = table.fixed + np.where(real, packed.U, -np.inf).max(axis=2).sum(axis=0)
     return lo, hi
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cells
 from .cells import CellTemplate, DiscreteArch
-from .cost import CostScope, CostTable, expected_cost
+from .cost import CostTable
 from .network import NetworkPlan
 
 __all__ = [
@@ -144,29 +144,14 @@ def enumerate_vertex_costs(table: CostTable, ceiling: int = 200_000) -> np.ndarr
     reachable in the saturated limit.  Returns an array of shape
     (n_vertices, n_metrics) in canonical key-major order.
     """
-    keys = table.theta_keys()
-    summed = {key: None for key in keys}
-    for e in table.entries:
-        key = (e.kind, e.edge)
-        summed[key] = e.u.copy() if summed[key] is None else summed[key] + e.u
-    n_metrics = table.fixed.shape[0]
-    us = [
-        summed[key] if summed[key] is not None
-        else np.zeros((n_metrics, len(table.templates[key[0]].op_names)))
-        for key in keys
-    ]
-    sizes = [u.shape[1] for u in us]
-    n = 1
-    for s in sizes:
-        n *= s
+    packed = table.packed()
+    n = math.prod(packed.sizes)
     if n > ceiling:
         raise SpaceTooLarge(f"{n} vertices exceed ceiling {ceiling}")
-    out = np.empty((n, n_metrics))
-    for row, combo in enumerate(itertools.product(*[range(s) for s in sizes])):
-        acc = table.fixed.copy()
-        for u, o in zip(us, combo):
-            acc += u[:, o]
-        out[row] = acc
+    out = np.asarray(table.fixed, dtype=np.float64)[None, :]
+    for u, size in zip(packed.U, packed.sizes):
+        # every vertex so far, extended by each op of this key (key-major order)
+        out = (out[:, None, :] + u[:, :size].T[None, :, :]).reshape(-1, out.shape[1])
     return out
 
 

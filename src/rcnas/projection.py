@@ -12,6 +12,11 @@ never moves; under the TopK scope the active edge set is frozen from the
 anchor so the objective stays smooth during the descent. Both penalty
 weights decay geometrically across projection rounds, and at lambda = 0
 the projection degenerates to the identity.
+
+The descent runs on the table's packed form: the logits are one flat
+vector under one Adam, each iteration evaluates Phi once at its new point,
+and that Phi serves the feasibility test, h and the next step's hinge
+coefficients, whose gradient comes straight from the packed cost rows.
 """
 from __future__ import annotations
 
@@ -20,12 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Tensor
-from .cost import ConstraintBox, CostScope, CostTable, cost_gradient, expected_cost, scope_edges, violation
+from .cost import ConstraintBox, CostScope, CostTable, ThetaMap, cost_gradient, expected_cost, scope_edges, violation
 from .optim import Adam
 
 __all__ = ["ProjectionConfig", "ProjectionResult", "ProjectionError", "lagrangian", "lagrangian_grad", "project", "decay_lambda"]
-
-ThetaMap = dict[tuple[str, tuple[int, int]], np.ndarray]
 
 
 class ProjectionError(ArithmeticError):
@@ -62,6 +65,11 @@ def _hinge_sums(phi: np.ndarray, box: ConstraintBox) -> tuple[float, float]:
     return float(lower_v.sum()), float(upper_v.sum())
 
 
+def _hinge_coefficients(lower_v: np.ndarray, upper_v: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
+    """Per-metric weight of dPhi in dh: +lambda2 above the box, -lambda1 below."""
+    return lambda2 * (upper_v > 0).astype(np.float64) - lambda1 * (lower_v > 0).astype(np.float64)
+
+
 def lagrangian(
     theta_p: ThetaMap,
     theta_anchor: ThetaMap,
@@ -96,8 +104,7 @@ def lagrangian_grad(
     of the box the current cost violates; on the boundary the subgradient
     is taken as zero."""
     phi = expected_cost(theta_p, table, scope, frozen_scope)
-    lower_v, upper_v = violation(phi, box)
-    coeff = lambda2 * (upper_v > 0).astype(np.float64) - lambda1 * (lower_v > 0).astype(np.float64)
+    coeff = _hinge_coefficients(*violation(phi, box), lambda1, lambda2)
     grads = {key: theta_p[key] - theta_anchor[key] for key in theta_anchor}
     if np.any(coeff != 0.0):
         dphi = cost_gradient(theta_p, table, scope, frozen_scope)
@@ -135,51 +142,52 @@ def project(
     """
     lam1 = cfg.lambda1 if lambda1 is None else lambda1
     lam2 = cfg.lambda2 if lambda2 is None else lambda2
-    anchor = {key: np.asarray(v, dtype=np.float64).copy() for key, v in theta.items()}
-    frozen = scope_edges(anchor, table.templates) if scope is CostScope.TOP_K else None
-
-    theta_p = {key: v.copy() for key, v in anchor.items()}
+    packed = table.packed()
+    anchor = packed.flatten(theta)
+    frozen = scope_edges(packed.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
+    mask = packed.scope_mask(frozen)
     trajectory: list[dict] = []
 
-    def snapshot(it: int, phi: np.ndarray, h: float) -> None:
-        if not record_trajectory:
-            return
+    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+        """The one cost evaluation of an iteration: Phi and h at ``flat``,
+        recorded in the trajectory, and the hinge coefficients of the next
+        step."""
+        phi = expected_cost(packed.unflatten(flat), table, scope, frozen)
         lower_v, upper_v = violation(phi, box)
-        trajectory.append(
-            {
-                "iteration": it,
-                "objective": h,
-                "phi_params": float(phi[0]),
-                "phi_flops": float(phi[1]),
-                "violation": float(lower_v.sum() + upper_v.sum()),
-            }
-        )
+        d = flat - anchor
+        h = 0.5 * float(d @ d) + lam1 * float(lower_v.sum()) + lam2 * float(upper_v.sum())
+        if record_trajectory:
+            trajectory.append(
+                {
+                    "iteration": it,
+                    "objective": h,
+                    "phi_params": float(phi[0]),
+                    "phi_flops": float(phi[1]),
+                    "violation": float(lower_v.sum() + upper_v.sum()),
+                }
+            )
+        return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2)
 
-    phi = expected_cost(theta_p, table, scope, frozen)
-    h = lagrangian(theta_p, anchor, box, table, scope, lam1, lam2, frozen)
-    snapshot(0, phi, h)
+    phi, h, coeff = evaluate(0, anchor)
     if box.feasible(phi, cfg.feas_tol):
-        return ProjectionResult(theta_p, 0, True, phi, h, trajectory)
+        return ProjectionResult(packed.unflatten(anchor), 0, True, phi, h, trajectory)
     if lam1 == 0.0 and lam2 == 0.0:
         # no penalty: h is minimized exactly at the anchor
-        return ProjectionResult(theta_p, 0, False, phi, h, trajectory)
+        return ProjectionResult(packed.unflatten(anchor), 0, False, phi, h, trajectory)
 
-    keys = list(anchor)
-    holders = [Tensor(theta_p[k], requires_grad=True) for k in keys]
-    opt = Adam(holders, lr=cfg.lr, betas=cfg.betas)
+    # Adam is elementwise, so one flat holder steps exactly as one per logits vector
+    holder = Tensor(anchor.copy(), requires_grad=True)
+    opt = Adam([holder], lr=cfg.lr, betas=cfg.betas)
     for it in range(1, cfg.max_iters + 1):
-        current = {k: t.data for k, t in zip(keys, holders)}
-        g = lagrangian_grad(current, anchor, box, table, scope, lam1, lam2, frozen)
-        for k, t in zip(keys, holders):
-            t.grad = g[k]
+        grad = holder.data - anchor
+        if np.any(coeff != 0.0):
+            dphi = packed.gradient(packed.softmax(holder.data), mask)
+            grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[packed.valid]
+        holder.grad = grad
         opt.step()
-        current = {k: t.data for k, t in zip(keys, holders)}
-        phi = expected_cost(current, table, scope, frozen)
-        h = lagrangian(current, anchor, box, table, scope, lam1, lam2, frozen)
+        phi, h, coeff = evaluate(it, holder.data)
         if not np.isfinite(h) or not np.all(np.isfinite(phi)):
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
-        snapshot(it, phi, h)
         if box.feasible(phi, cfg.feas_tol):
-            return ProjectionResult({k: v.copy() for k, v in current.items()}, it, True, phi, h, trajectory)
-    final = {k: t.data.copy() for k, t in zip(keys, holders)}
-    return ProjectionResult(final, cfg.max_iters, False, phi, h, trajectory)
+            return ProjectionResult(packed.unflatten(holder.data), it, True, phi, h, trajectory)
+    return ProjectionResult(packed.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)

@@ -53,6 +53,50 @@ def test_fanout_accumulates_additively():
     assert np.array_equal(x.grad, np.array([2.0, 2.0]))
 
 
+def test_first_gradient_is_a_copy_not_the_rule_output():
+    # add's backward hands the same array to both inputs; neither may alias it
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+    with Tape() as tape:
+        y = ad.add(a, b)
+        y2 = ad.add(y, a)  # a is reached twice
+        loss = ad.tensor_sum(y2)
+        tape.backward(loss)
+    assert np.array_equal(a.grad, [2.0, 2.0])
+    assert np.array_equal(b.grad, [1.0, 1.0])
+    assert not np.shares_memory(a.grad, b.grad)
+    assert a.grad.dtype == np.float64 and b.grad.dtype == np.float64
+
+
+def test_first_gradient_takes_the_input_layout():
+    # BLAS rounds by memory order, so a gradient laid out unlike its tensor
+    # would change the bits of every later matmul that reads it
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+
+    def fortran_double(x):
+        out = Tensor(x.data * 2.0, requires_grad=True)
+        return ad._record(out, (x,), lambda g: (np.asfortranarray(g * 2.0),))
+
+    with Tape() as tape:
+        loss = ad.tensor_sum(fortran_double(x))
+        tape.backward(loss)
+    assert x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_backward_rejects_gradient_of_wrong_shape():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+
+    def bad_broadcast(x):
+        out = Tensor(x.data * 2.0, requires_grad=True)
+        return ad._record(out, (x,), lambda g: (np.float64(2.0),))  # scalar, not (2,)
+
+    with Tape() as tape:
+        loss = ad.tensor_sum(bad_broadcast(x))
+        with pytest.raises(ShapeError, match="backward"):
+            tape.backward(loss)
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape:

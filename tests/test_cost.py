@@ -264,3 +264,113 @@ def test_expected_cost_stays_within_phi_range(seed):
     }
     phi = expected_cost(theta, table, CostScope.FULL_DAG)
     assert np.all(phi >= lo - 1e-9) and np.all(phi <= hi + 1e-9)
+
+
+# --- the packed cost model against the per-entry definition
+
+
+def _reference_expected_cost(theta, table, scope, frozen_scope=None):
+    """Phi summed entry by entry, one cell placement at a time."""
+    kept = None
+    if scope is CostScope.TOP_K:
+        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, table.templates)
+    phi = table.fixed.copy()
+    for e in table.entries:
+        if kept is not None and e.edge not in kept[e.kind]:
+            continue
+        z = theta[(e.kind, e.edge)]
+        F = np.exp(z - z.max())
+        phi += e.u @ (F / F.sum())
+    return phi
+
+
+def _reference_cost_gradient(theta, table, scope, frozen_scope=None):
+    """dPhi/dtheta summed entry by entry: F * (u - u.F) per placement."""
+    kept = None
+    if scope is CostScope.TOP_K:
+        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, table.templates)
+    grads = {key: np.zeros((2, len(theta[key]))) for key in table.theta_keys()}
+    for e in table.entries:
+        if kept is not None and e.edge not in kept[e.kind]:
+            continue
+        z = theta[(e.kind, e.edge)]
+        F = np.exp(z - z.max())
+        F /= F.sum()
+        grads[(e.kind, e.edge)] += F[None, :] * (e.u - (e.u @ F)[:, None])
+    return grads
+
+
+SHAPES_4CELL = NetworkPlan(n_cells=4, init_channels=4, n_classes=4, image_hw=(16, 16), n_nodes=5, k_levels=3)
+
+
+def _draw_theta(table, rng, scale=1.0):
+    return {key: scale * rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()}
+
+
+@pytest.mark.parametrize("plan", [SHAPES_4CELL, _micro_plan()], ids=["shapes_4cell", "micro"])
+@pytest.mark.parametrize("scope", ["topk", "fulldag", "frozen"])
+def test_packed_cost_matches_per_entry_reference(plan, scope):
+    table = build_cost_table(plan)
+    rng = np.random.default_rng(np.random.SeedSequence(41))
+    for _ in range(6):
+        theta = _draw_theta(table, rng, scale=2.0)
+        frozen = scope_edges(_draw_theta(table, rng), table.templates) if scope == "frozen" else None
+        sc = CostScope.FULL_DAG if scope == "fulldag" else CostScope.TOP_K
+        # the packed form goes by theta_keys(), never by the map's insertion order
+        keys = list(theta)
+        shuffled = {keys[i]: theta[keys[i]] for i in rng.permutation(len(keys))}
+        ref_phi = _reference_expected_cost(theta, table, sc, frozen)
+        ref_grad = _reference_cost_gradient(theta, table, sc, frozen)
+        for th in (theta, shuffled):
+            np.testing.assert_allclose(expected_cost(th, table, sc, frozen), ref_phi, rtol=1e-12, atol=0)
+            grads = cost_gradient(th, table, sc, frozen)
+            assert list(grads) == table.theta_keys()
+            for key, ref in ref_grad.items():
+                assert grads[key].shape == ref.shape
+                np.testing.assert_allclose(grads[key], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_packed_rows_sum_cells_sharing_logits():
+    table = _single_edge_table([0.0, 1.0, 9216.0], copies=3)
+    packed = table.packed()
+    assert packed.keys == tuple(table.theta_keys())
+    np.testing.assert_array_equal(packed.U[0], 3 * table.entries[0].u)
+    np.testing.assert_array_equal(packed.U[1], 0.0)
+    assert table.packed() is packed  # built once per table
+
+
+def test_vertex_costs_match_per_entry_sums():
+    table = build_cost_table(_micro_plan())
+    costs = enumerate_vertex_costs(table)
+    keys = table.theta_keys()
+    sizes = [table.templates[kind].n_ops for kind, _ in keys]
+    assert costs.shape == (int(np.prod(sizes)), 2)
+    rng = np.random.default_rng(np.random.SeedSequence(43))
+    for row in rng.choice(len(costs), size=20, replace=False):
+        picks = dict(zip(keys, np.unravel_index(row, sizes)))  # key-major order
+        acc = table.fixed.copy()
+        for e in table.entries:
+            acc += e.u[:, picks[(e.kind, e.edge)]]
+        np.testing.assert_allclose(costs[row], acc, rtol=1e-12, atol=0)
+
+
+# --- the logits-map contract
+
+
+def _contract_violations(table):
+    theta = _uniform_theta(table)
+    first = table.theta_keys()[0]
+    missing = {k: v for k, v in theta.items() if k != first}
+    extra = {**theta, ("cell", (7, 9)): np.zeros(3)}
+    short = {**theta, first: np.zeros(2)}
+    return [(missing, "missing", first), (extra, "extra", ("cell", (7, 9))), (short, "shape", first)]
+
+
+@pytest.mark.parametrize("fn", [expected_cost, cost_gradient], ids=["expected_cost", "cost_gradient"])
+@pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
+def test_logits_map_contract(fn, scope):
+    table = _single_edge_table([0.0, 0.0, 9216.0])
+    for theta, what, key in _contract_violations(table):
+        with pytest.raises(ValueError, match=what) as err:
+            fn(theta, table, scope)
+        assert repr(key) in str(err.value)

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from rcnas import ops
+from rcnas.autodiff import Tensor
 from rcnas.cells import CellTemplate
-from rcnas.cost import ConstraintBox, CostScope, CostTable, EdgeCost
+from rcnas.cost import ConstraintBox, CostScope, CostTable, EdgeCost, build_cost_table, expected_cost, scope_edges
+from rcnas.network import NetworkPlan
+from rcnas.optim import Adam
 from rcnas.projection import (
     ProjectionConfig,
     ProjectionError,
@@ -210,3 +213,82 @@ def test_non_finite_cost_raises():
     theta = _uniform(table)
     with pytest.raises(ProjectionError):
         project(theta, _box(25.0), table, CostScope.FULL_DAG, cfg=ProjectionConfig(lr=3e-3, max_iters=5))
+
+
+# --- the fused loop against a step-by-step reference
+
+
+def _reference_project(theta, box, table, scope, cfg, lam1, lam2):
+    """Projection written from the public pieces: per-key Adam holders, and
+    lagrangian_grad, expected_cost and lagrangian evaluated afresh at every
+    iteration. Returns (theta_p, iterations, feasible, phi, objectives)."""
+    anchor = {key: v.copy() for key, v in theta.items()}
+    frozen = scope_edges(anchor, table.templates) if scope is CostScope.TOP_K else None
+    phi = expected_cost(anchor, table, scope, frozen)
+    objectives = [lagrangian(anchor, anchor, box, table, scope, lam1, lam2, frozen)]
+    if box.feasible(phi, cfg.feas_tol):
+        return anchor, 0, True, phi, objectives
+    keys = list(anchor)
+    holders = [Tensor(anchor[k].copy(), requires_grad=True) for k in keys]
+    opt = Adam(holders, lr=cfg.lr, betas=cfg.betas)
+    for it in range(1, cfg.max_iters + 1):
+        current = {k: t.data for k, t in zip(keys, holders)}
+        g = lagrangian_grad(current, anchor, box, table, scope, lam1, lam2, frozen)
+        for k, t in zip(keys, holders):
+            t.grad = g[k]
+        opt.step()
+        current = {k: t.data for k, t in zip(keys, holders)}
+        phi = expected_cost(current, table, scope, frozen)
+        objectives.append(lagrangian(current, anchor, box, table, scope, lam1, lam2, frozen))
+        if box.feasible(phi, cfg.feas_tol):
+            return current, it, True, phi, objectives
+    return current, cfg.max_iters, False, phi, objectives
+
+
+def _shapes_4cell_table():
+    plan = NetworkPlan(n_cells=4, init_channels=4, n_classes=4, image_hw=(16, 16), n_nodes=5, k_levels=3)
+    return build_cost_table(plan)
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        ConstraintBox(np.zeros(2), np.array([5000.0, 250000.0])),
+        ConstraintBox(np.array([9000.0, 0.0]), np.array([np.inf, 400000.0])),
+    ],
+    ids=["upper", "lower_params"],
+)
+def test_project_matches_reference_loop(box):
+    table = _shapes_4cell_table()
+    cfg = ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=500, lr=3e-3)
+    rng = np.random.default_rng(np.random.SeedSequence(17))
+    anchors = []
+    while len(anchors) < 3:  # the first seeded draws outside the box
+        theta = {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()}
+        if not box.feasible(expected_cost(theta, table, CostScope.TOP_K)):
+            anchors.append(theta)
+    for theta in anchors:
+        res = project(theta, box, table, CostScope.TOP_K, cfg, record_trajectory=True)
+        ref_theta, ref_iters, ref_feasible, ref_phi, ref_h = _reference_project(
+            theta, box, table, CostScope.TOP_K, cfg, cfg.lambda1, cfg.lambda2
+        )
+        assert res.iterations == ref_iters and res.feasible == ref_feasible
+        for key in table.theta_keys():
+            np.testing.assert_allclose(res.theta_p[key], ref_theta[key], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(res.phi, ref_phi, rtol=1e-9)
+        assert res.objective == pytest.approx(ref_h[-1], rel=1e-9)
+        np.testing.assert_allclose([t["objective"] for t in res.trajectory], ref_h, rtol=1e-9)
+
+
+@pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
+def test_project_logits_map_contract(scope):
+    table = _one_costly_edge_table()
+    theta = _uniform(table)
+    missing = {k: v for k, v in theta.items() if k != ("cell", (0, 2))}
+    extra = {**theta, ("cell", (5, 6)): np.zeros(2)}
+    short = {**theta, ("cell", (1, 2)): np.zeros(3)}
+    cases = [(missing, "missing", ("cell", (0, 2))), (extra, "extra", ("cell", (5, 6))), (short, "shape", ("cell", (1, 2)))]
+    for bad, what, key in cases:
+        with pytest.raises(ValueError, match=what) as err:
+            project(bad, _box(25.0), table, scope)
+        assert repr(key) in str(err.value)
