@@ -4,7 +4,8 @@ The engine is deliberately small: a handful of primitives sufficient for
 convolutional supernets (convolution with stride/dilation/groups, batch
 norm, pooling, concat, softmax, cross-entropy) plus a tape that records
 primitive applications in execution order. Backward replays the tape in
-exact reverse order, accumulating gradients additively across fan-out.
+exact reverse order, accumulating gradients additively across fan-out, and
+releases each entry as soon as it has run.
 
 Everything is float64 and deterministic: the same inputs produce
 bit-identical outputs and gradients on every run.
@@ -71,7 +72,8 @@ class Tensor:
     """Dense float64 array with an optional gradient buffer.
 
     ``grad`` stays ``None`` until backward accumulates into it; it is only
-    ever populated for tensors with ``requires_grad`` set.
+    ever populated for tensors with ``requires_grad`` set, and backward
+    keeps it only on leaves, the tensors no entry of its tape produced.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -137,10 +139,11 @@ class Tape:
         tape.backward(loss)
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_consumed")
 
     def __init__(self):
-        self._entries: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn]] = []
+        self._entries: list[tuple[Tensor, tuple[Tensor, ...], _BackwardFn] | None] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -154,35 +157,56 @@ class Tape:
         return len(self._entries)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(tensor) into .grad for every tensor that
-        requires a gradient and is reachable from ``loss``."""
+        """Accumulate d(loss)/d(tensor) into .grad for every leaf that
+        requires a gradient and is reachable from ``loss``.
+
+        A leaf is a tensor no entry of this tape produced (a Parameter, a
+        logits vector, a ``grad_check`` input); only leaves keep ``.grad``.
+        Each entry is released as soon as its rule has run: its slot becomes
+        ``None`` and its output's ``.grad`` is dropped, which frees the
+        closure and every array it saved. ``len(tape)`` still counts the
+        recorded entries. Backward runs once per tape; a second call raises.
+        """
         if loss.data.size != 1:
             raise ShapeError("backward", f"loss must be scalar, got shape {loss.shape}")
+        if self._consumed:
+            raise RuntimeError("backward called on a tape that has already been consumed")
         if not self._entries:
             raise RuntimeError("backward called on an empty tape")
+        self._consumed = True
         if loss.grad is None:
             loss.grad = np.ones_like(loss.data)
-        for out, inputs, bwd in reversed(self._entries):
-            gout = out.grad
-            if gout is None:
-                continue
-            grads = bwd(gout)
-            for inp, gin in zip(inputs, grads):
-                if gin is None or not inp.requires_grad:
-                    continue
-                if inp.grad is not None:
-                    inp.grad += gin
-                    continue
-                if np.shape(gin) != inp.data.shape:
-                    raise ShapeError("backward", f"gradient of shape {np.shape(gin)} for input of shape {inp.data.shape}")
-                # a copy, never gin itself (a rule may return one array for
-                # several inputs), laid out like the input, as BLAS picks its
-                # kernel, and with it the rounding, by memory order
-                inp.grad = np.empty_like(inp.data, dtype=np.float64)
-                inp.grad[...] = gin
+        entries = self._entries
+        for k in range(len(entries) - 1, -1, -1):
+            out, inputs, bwd = entries[k]
+            entries[k] = None
+            gout, out.grad = out.grad, None
+            if gout is not None:
+                _accumulate(inputs, bwd(gout))
 
     def clear(self) -> None:
         self._entries.clear()
+        self._consumed = False
+
+
+def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
+    """Add one rule's input gradients into the inputs' ``.grad``.
+
+    A function of its own so that ``grads`` is freed before the next rule
+    runs."""
+    for inp, gin in zip(inputs, grads):
+        if gin is None or not inp.requires_grad:
+            continue
+        if inp.grad is not None:
+            inp.grad += gin
+            continue
+        if np.shape(gin) != inp.data.shape:
+            raise ShapeError("backward", f"gradient of shape {np.shape(gin)} for input of shape {inp.data.shape}")
+        # a copy, never gin itself (a rule may return one array for several
+        # inputs), laid out like the input, as BLAS picks its kernel, and
+        # with it the rounding, by memory order
+        inp.grad = np.empty_like(inp.data, dtype=np.float64)
+        inp.grad[...] = gin
 
 
 def _active_tape() -> Tape | None:
@@ -214,10 +238,11 @@ def assert_finite(t: Tensor, context: str = "tensor") -> None:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0.0), requires_grad=x.requires_grad)
-    mask = x.data > 0.0
 
     def bwd(g):
-        return (g * mask,)
+        # out > 0 exactly where x > 0 (also for -0.0 and NaN), so the tape
+        # keeps no mask
+        return (g * (out.data > 0.0),)
 
     return _record(out, (x,), bwd)
 
@@ -306,8 +331,9 @@ def conv2d(
     input rows each output row reads, (C, B*OH, kh*Wp), times a banded
     (C, kh*Wp, OW) matrix that holds each channel's kernel taps. Every
     other convolution is one grouped matmul of the weight matrix with the
-    patch matrix. Backward rebuilds the row stack or the patches from the
-    padded input instead of keeping them on the tape.
+    patch matrix. The tape keeps no padded input, row stack or patches:
+    backward pads ``x`` again and rebuilds them only for the weight
+    gradient; the input gradient never reads them.
     """
     if x.ndim != 4:
         raise ShapeError("conv2d", f"input must be 4-D (B,C,H,W), got {x.shape}")
@@ -352,7 +378,8 @@ def conv2d(
         gt = g.transpose(1, 0, 2, 3).reshape(C, B * OH, OW)
         dw = dx = None
         if weight.requires_grad:
-            full = np.matmul(_row_stack(xp, kh, OH, stride, dilation).swapaxes(1, 2), gt)
+            rows = _row_stack(_padded(x.data, ph, pw), kh, OH, stride, dilation)
+            full = np.matmul(rows.swapaxes(1, 2), gt)
             dw = full[:, band_idx[0], band_idx[1]].reshape(C, 1, kh, kw, OW).sum(axis=-1)
         if x.requires_grad:
             # one matmul per kernel row, so each scatter-add moves whole
@@ -369,7 +396,7 @@ def conv2d(
         gm = g.reshape(B, groups, Og, OH * OW)
         dw = dx = None
         if weight.requires_grad:
-            cols = _im2col(xp, kh, kw, OH, OW, stride, dilation, groups)
+            cols = _im2col(_padded(x.data, ph, pw), kh, kw, OH, OW, stride, dilation, groups)
             dw = np.matmul(gm, cols.swapaxes(-1, -2)).sum(axis=0).reshape(wd.shape)
         if x.requires_grad:
             dcols = np.matmul(wm.swapaxes(1, 2), gm)
@@ -398,9 +425,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.shape != (C,) or beta.shape != (C,):
         raise ShapeError("batch_norm", f"gamma/beta must have shape ({C},)")
     mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-    var = x.data.var(axis=(0, 2, 3), keepdims=True)
+    xc = x.data - mu
+    # the sum of squares np.var takes over the same mu, without a second mean
+    var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     gam = gamma.data[None, :, None, None]
     out = Tensor(gam * xhat + beta.data[None, :, None, None], requires_grad=_needs_grad(x, gamma, beta))
 

@@ -5,6 +5,9 @@ h = 1e-4 in float64; analytic gradients must agree to 1e-5 relative
 (error floored at unit scale for near-zero entries).
 """
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ import gradsuite
 from rcnas import autodiff as ad
 from rcnas.autodiff import (
     GradCheckError,
+    Parameter,
     ShapeError,
     Tape,
     Tensor,
@@ -116,6 +120,97 @@ def test_no_grad_outside_tape():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     y = ad.relu(x)  # no active tape: nothing recorded
     assert y.grad is None and x.grad is None
+
+
+def test_backward_frees_intermediate_activations():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.standard_normal((2, 3, 5, 5)))
+    w = Parameter(rng.standard_normal((3, 1, 3, 3)), "w")
+    with Tape() as tape:
+        h = ad.relu(ad.conv2d(x, w, padding=1, groups=3))
+        alive = weakref.ref(h.data)
+        loss = ad.tensor_sum(ad.scale(h, 2.0))
+    del h
+    assert alive() is not None  # the tape still needs it
+    tape.backward(loss)
+    assert alive() is None
+
+
+def test_backward_keeps_leaf_grads_and_drops_the_rest():
+    a = Tensor(np.array([1.5, -2.0, 0.5]), requires_grad=True)
+    b = Tensor(np.array([2.0, 3.0, -4.0]), requires_grad=True)
+    with Tape() as tape:
+        ab = ad.mul(a, b)
+        r = ad.relu(ab)
+        y = ad.add(ad.add(r, r), a)  # r is reached twice
+        loss = ad.tensor_sum(y)
+        tape.backward(loss)
+    on = (a.data * b.data > 0).astype(float)
+    assert np.array_equal(a.grad, 2.0 * on * b.data + 1.0)
+    assert np.array_equal(b.grad, 2.0 * on * a.data)
+    assert all(t.grad is None for t in (ab, r, y, loss))
+
+
+def test_backward_keeps_the_entry_count():
+    x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.relu(ad.scale(x, 3.0)))
+    assert len(tape) == 3
+    tape.backward(loss)
+    assert len(tape) == 3
+
+
+def test_second_backward_on_a_tape_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.scale(x, 2.0))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError, match="already been consumed"):
+        tape.backward(loss)
+    assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+@pytest.mark.parametrize("groups", [1, 4])
+def test_padded_conv_keeps_no_padded_input(groups):
+    # the tape may hold the output, not a padded copy of the input
+    rng = np.random.default_rng(1)
+    x = Tensor(rng.standard_normal((4, 4, 32, 32)))
+    w = Parameter(rng.standard_normal((4, 4 // groups, 3, 3)), "w")
+    ad.conv2d(x, w, padding=2, dilation=2, groups=groups)  # warm the band cache
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = ad.conv2d(x, w, padding=2, dilation=2, groups=groups)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    padded_bytes = 4 * 4 * 36 * 36 * 8
+    assert len(tape) == 1
+    assert held < out.data.nbytes + padded_bytes // 2
+
+
+def test_relu_gradient_is_the_sign_of_the_input():
+    x = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    t = Tensor(x, requires_grad=True)
+    g = np.arange(1.0, x.size + 1)
+    with Tape() as tape:
+        loss = ad.tensor_sum(ad.mul(ad.relu(t), Tensor(g)))
+        tape.backward(loss)
+    assert np.array_equal(t.grad, g * (x > 0.0))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 3, 4, 5), (8, 4, 16, 16), (3, 2, 7, 1), (16, 8, 8, 8)])
+@pytest.mark.parametrize("loc,spread", [(0.0, 1.0), (1e3, 1e-2), (-7.0, 1e4)])
+def test_batch_norm_matches_np_var(shape, loc, spread):
+    # one mean and the sum of squares over it give np.var's bits exactly
+    rng = np.random.default_rng(7)
+    x = loc + spread * rng.standard_normal(shape)
+    gamma, beta = rng.standard_normal(shape[1]), rng.standard_normal(shape[1])
+    mu = x.mean(axis=(0, 2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=(0, 2, 3), keepdims=True) + 1e-5)
+    expect = gamma[None, :, None, None] * ((x - mu) * inv) + beta[None, :, None, None]
+    out = ad.batch_norm(Tensor(x), Tensor(gamma), Tensor(beta))
+    assert np.array_equal(out.data, expect)
 
 
 def test_channel_shuffle_permutation():
