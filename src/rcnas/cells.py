@@ -16,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import ops
-from .autodiff import Tensor, softmax, weighted_sum
+from .autodiff import Tensor, add, concat, softmax, weighted_sum
 
 __all__ = [
     "CellTemplate",
@@ -182,10 +183,10 @@ def mixed_edge_forward(theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance])
 def cell_forward(
     template: CellTemplate,
     inputs: list[Tensor],
-    theta: dict[tuple[int, int], Tensor],
-    edge_ops: dict[tuple[int, int], list[ops.OpInstance]],
+    node_edges: dict[int, list[tuple[int, Callable[[Tensor], Tensor]]]],
 ) -> Tensor:
-    """Run one relaxed cell: every edge active, mixtures summed per node.
+    """Run one cell: each intermediate node j is the sum, in list order, of
+    ``edge_fn(state_i)`` over its ``(i, edge_fn)`` pairs in ``node_edges[j]``.
 
     Returns the channel-concat of intermediates (or the single
     intermediate for non-concat templates).
@@ -195,22 +196,12 @@ def cell_forward(
     states = list(inputs)
     for j in template.intermediates:
         acc = None
-        for i in template.predecessors(j):
-            term = mixed_edge_forward(theta[(i, j)], states[i], edge_ops[(i, j)])
-            acc = term if acc is None else _add(acc, term)
+        for i, edge_fn in node_edges[j]:
+            term = edge_fn(states[i])
+            acc = term if acc is None else add(acc, term)
         states.append(acc)
     inter = states[template.n_inputs :]
-    if template.concat_output:
-        from .autodiff import concat
-
-        return concat(inter, axis=1)
-    return inter[0]
-
-
-def _add(a: Tensor, b: Tensor) -> Tensor:
-    from .autodiff import add
-
-    return add(a, b)
+    return concat(inter, axis=1) if template.concat_output else inter[0]
 
 
 @dataclass
@@ -220,6 +211,11 @@ class DiscreteArch:
     choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = field(default_factory=dict)
 
     SCHEMA_VERSION = 1
+
+    def op_on(self, kind: str, edge: tuple[int, int]) -> str | None:
+        """The op kept on a template edge, or None if the edge was not kept."""
+        i, j = edge
+        return dict(self.choices[kind][j]).get(i)
 
     def validate(self, templates: dict[str, CellTemplate]) -> None:
         if set(self.choices) != set(templates):

@@ -335,6 +335,17 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text(buf.getvalue())
 
 
+# projection_trace.csv column -> the search_log.csv column it copies
+_TRACE_COLUMNS = {"round": "round", "lambda1": "lambda1", "lambda2": "lambda2", "iterations": "proj_iters",
+                  "feasible": "feasible", "phi_params": "phi_params", "phi_flops": "phi_flops"}
+_COST_REPORT_COLUMNS = ["metric", "expected", "exact", "lower_bound", "upper_bound", "violation"]
+
+
+def _write_cost_report(path: Path, rows: list[dict]) -> None:
+    """One row per metric: its name, then each figure as its repr."""
+    _write_csv(path, _COST_REPORT_COLUMNS, [[r["metric"]] + [repr(r[h]) for h in _COST_REPORT_COLUMNS[1:]] for r in rows])
+
+
 def _manifest_config(cfg: dict) -> dict:
     trimmed = {k: v for k, v in cfg.items() if k != "out_dir"}
     return trimmed
@@ -370,22 +381,12 @@ def _cmd_search(args) -> int:
     (out_dir / "arch.json").write_text(result.arch.to_canonical_json())
     _write_csv(out_dir / "search_log.csv", LOG_COLUMNS, result.log_rows)
 
-    proj_rows = [
-        [r[1], r[7], r[8], r[10], r[9], r[5], r[6]] for r in result.log_rows if r[2] == "project"
-    ]
-    _write_csv(
-        out_dir / "projection_trace.csv",
-        ["round", "lambda1", "lambda2", "iterations", "feasible", "phi_params", "phi_flops"],
-        proj_rows,
-    )
+    col = {name: i for i, name in enumerate(LOG_COLUMNS)}
+    proj_rows = [[r[col[c]] for c in _TRACE_COLUMNS.values()] for r in result.log_rows if r[col["phase"]] == "project"]
+    _write_csv(out_dir / "projection_trace.csv", list(_TRACE_COLUMNS), proj_rows)
 
     exact = exact_cost(result.arch, plan)
-    report_rows = cost_report_rows(result.phi, exact, box)
-    _write_csv(
-        out_dir / "cost_report.csv",
-        ["metric", "expected", "exact", "lower_bound", "upper_bound", "violation"],
-        [[r["metric"], repr(r["expected"]), repr(r["exact"]), repr(r["lower_bound"]), repr(r["upper_bound"]), repr(r["violation"])] for r in report_rows],
-    )
+    _write_cost_report(out_dir / "cost_report.csv", cost_report_rows(result.phi, exact, box))
     (out_dir / "arch.dot").write_text(cells.export_dot(result.arch, plan.templates()))
     (out_dir / "report.json").write_text(_canonical_json(result.report))
     print(f"search done: {result.report['steps']} steps, feasible={result.feasible}")
@@ -409,16 +410,11 @@ def _cmd_cost(args) -> int:
     phi = expected_cost(theta, table, scope)
     exact = exact_cost(arch, plan)
     rows = cost_report_rows(phi, exact, box)
-    header = ["metric", "expected", "exact", "lower_bound", "upper_bound", "violation"]
-    print(",".join(header))
+    print(",".join(_COST_REPORT_COLUMNS))
     for r in rows:
-        print(",".join(str(r[h]) for h in header))
+        print(",".join(str(r[h]) for h in _COST_REPORT_COLUMNS))
     if args.out:
-        _write_csv(
-            Path(args.out),
-            header,
-            [[r["metric"], repr(r["expected"]), repr(r["exact"]), repr(r["lower_bound"]), repr(r["upper_bound"]), repr(r["violation"])] for r in rows],
-        )
+        _write_cost_report(Path(args.out), rows)
     return EXIT_OK
 
 

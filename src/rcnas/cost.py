@@ -5,8 +5,12 @@ The expected cost of the relaxed network is
     Phi_m(theta) = fixed_m + sum_edges [edge in scope] * u_edge_m . softmax(theta_edge)
 
 where u is a theta-free table holding every candidate op's cost at its
-placement. Cells sharing logits each contribute their own shape-dependent
-u row. Under the TopK scope only the top-2 strongest incoming edges per
+placement. The table, the fixed term and the exact cost of a discrete
+architecture all read ``Layout.slots()``, the walk both networks build
+from, so they price the ops the networks hold, in the same order; with
+connection cells off, each link's fixed op is part of ``fixed``. Cells
+sharing logits each contribute their own shape-dependent u row. Under the
+TopK scope only the top-2 strongest incoming edges per
 intermediate node count (matching what discretization will keep); under
 FullDag every edge counts.
 
@@ -25,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import cells, ops
-from .network import STEM, NetworkPlan, _FixedAdapter
+from .network import FIXED_LINK_OP, Layout, NetworkPlan
 
 __all__ = [
     "METRICS",
@@ -108,7 +112,7 @@ def violation(phi: np.ndarray, box: ConstraintBox) -> tuple[np.ndarray, np.ndarr
 class EdgeCost:
     """Cost rows for one mixed edge at one placement in the network."""
 
-    owner: str  # "cell3" or "cell3.in0" for links
+    owner: str  # the slot's prefix: "cell3.edge0_2", or "cell3.in0" for a link
     kind: str
     edge: tuple[int, int]
     node: int
@@ -146,8 +150,8 @@ class CostTable:
         return out
 
 
-def _fixed_costs(plan: NetworkPlan) -> np.ndarray:
-    layout = plan.layout()
+def _stem_classifier_costs(layout: Layout) -> np.ndarray:
+    plan = layout.plan
     h, w = plan.image_hw
     C = plan.init_channels
     stem_params = 9 * plan.in_channels * C + 2 * C
@@ -155,39 +159,29 @@ def _fixed_costs(plan: NetworkPlan) -> np.ndarray:
     feat = layout.final_channels
     fc_params = feat * plan.n_classes + plan.n_classes
     fc_flops = feat * plan.n_classes
-    fixed = np.array([stem_params + fc_params, stem_flops + fc_flops], dtype=np.float64)
-    if not plan.use_connection:
-        for cell_links in layout.links:
-            for link in cell_links:
-                fixed[0] += _FixedAdapter.param_cost(link.context)
-                fixed[1] += _FixedAdapter.flop_cost(link.context)
-    return fixed
+    return np.array([stem_params + fc_params, stem_flops + fc_flops], dtype=np.float64)
 
 
 def build_cost_table(plan: NetworkPlan) -> CostTable:
-    """Tabulate every candidate op's cost at every placement. Never reads theta."""
+    """Tabulate every candidate op's cost at every slot with logits, in slot
+    order; the fixed term adds the stem, the classifier and the fixed links
+    of a plan without connection cells. Never reads theta."""
     layout = plan.layout()
-    templates = plan.templates()
+    templates = layout.templates
+    fixed = _stem_classifier_costs(layout)
     entries: list[EdgeCost] = []
-    for info in layout.cells:
-        tpl = templates[info.kind]
-        for edge in tpl.edges():
-            ctx = info.edge_context(tpl, edge)
-            u = np.zeros((N_METRICS, tpl.n_ops))
-            for oi, op_name in enumerate(tpl.op_names):
-                u[0, oi] = ops.param_count(op_name, ctx)
-                u[1, oi] = ops.flop_count(op_name, ctx)
-            entries.append(EdgeCost(f"cell{info.index}", info.kind, edge, edge[1], u))
-    if plan.use_connection:
-        tpl = templates[cells.CONNECT_KIND]
-        for cell_links in layout.links:
-            for link in cell_links:
-                u = np.zeros((N_METRICS, tpl.n_ops))
-                for oi, op_name in enumerate(tpl.op_names):
-                    u[0, oi] = ops.param_count(op_name, link.context)
-                    u[1, oi] = ops.flop_count(op_name, link.context)
-                entries.append(EdgeCost(f"cell{link.dst}.in{link.slot}", cells.CONNECT_KIND, (0, 1), 1, u))
-    return CostTable(entries=entries, fixed=_fixed_costs(plan), templates=templates)
+    for slot in layout.slots():
+        if slot.kind is None:
+            fixed[0] += ops.param_count(FIXED_LINK_OP, slot.context)
+            fixed[1] += ops.flop_count(FIXED_LINK_OP, slot.context)
+            continue
+        tpl = templates[slot.kind]
+        u = np.zeros((N_METRICS, tpl.n_ops))
+        for oi, op_name in enumerate(tpl.op_names):
+            u[0, oi] = ops.param_count(op_name, slot.context)
+            u[1, oi] = ops.flop_count(op_name, slot.context)
+        entries.append(EdgeCost(slot.prefix, slot.kind, slot.edge, slot.edge[1], u))
+    return CostTable(entries=entries, fixed=fixed, templates=templates)
 
 
 ThetaKey = tuple[str, tuple[int, int]]
@@ -348,25 +342,16 @@ def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
     """Cost vector of the discrete network an architecture instantiates.
 
     Matches the scalar-weight count of DiscreteNetwork exactly: both walk
-    the same layout with the same per-op formulas.
+    the same slots with the same per-op formulas.
     """
     layout = plan.layout()
-    templates = plan.templates()
-    arch.validate(templates)
-    total = _fixed_costs(plan)
-    for info in layout.cells:
-        tpl = templates[info.kind]
-        for j, picks in arch.choices[info.kind].items():
-            for p, op_name in picks:
-                ctx = info.edge_context(tpl, (p, j))
-                total[0] += ops.param_count(op_name, ctx)
-                total[1] += ops.flop_count(op_name, ctx)
-    if plan.use_connection:
-        (_, conn_op), = arch.choices[cells.CONNECT_KIND][1]
-        for cell_links in layout.links:
-            for link in cell_links:
-                total[0] += ops.param_count(conn_op, link.context)
-                total[1] += ops.flop_count(conn_op, link.context)
+    arch.validate(layout.templates)
+    total = _stem_classifier_costs(layout)
+    for slot in layout.slots():
+        op_name = FIXED_LINK_OP if slot.kind is None else arch.op_on(slot.kind, slot.edge)
+        if op_name is not None:
+            total[0] += ops.param_count(op_name, slot.context)
+            total[1] += ops.flop_count(op_name, slot.context)
     return total
 
 

@@ -1,14 +1,20 @@
 """Whole-network assembly: stem, stacked cells, inter-cell links, classifier.
 
 A NetworkPlan fixes the macro structure (cell count, channel schedule,
-reduction placement, depth levels). Supernet materializes every candidate
-op on every edge and mixes them with shared architecture logits;
-DiscreteNetwork materializes only the ops a DiscreteArch chose. Both use
-the same layout walk, so costs, counts, and shapes agree by construction.
+reduction placement, depth levels). Its Layout yields every op placement
+once, as a Slot: per cell its two links, then its template edges. Both
+networks build from that one walk and run one forward; they differ only in
+what a slot holds. Supernet holds the softmax mixture of every candidate
+op; DiscreteNetwork holds the op a DiscreteArch chose, or nothing on an
+edge it did not keep. The cost model prices the same slots, so costs,
+counts, and shapes agree by construction. With connection cells off, each
+link holds the fixed FIXED_LINK_OP (ReLU, 1x1 conv at the link's stride,
+BN) and its cost is part of the fixed term.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,21 +27,23 @@ from .autodiff import (
     cross_entropy_logits,
     global_avg_pool,
     linear,
-    relu,
 )
 
 __all__ = [
     "NetworkPlan",
     "Layout",
     "CellInfo",
-    "LinkInfo",
+    "Slot",
     "Supernet",
     "DiscreteNetwork",
-    "ReferenceConvNet",
     "STEM",
+    "FIXED_LINK_OP",
 ]
 
 STEM = -1  # source index meaning "the stem output"
+
+# What every link runs when the plan has no connection cells.
+FIXED_LINK_OP = ops.GROUP_CONV_G1
 
 
 def default_reduction_positions(n_cells: int) -> tuple[int, ...]:
@@ -117,18 +125,10 @@ class NetworkPlan:
         reds = set(self.reductions)
         kinds = self.cell_kind_list()
         infos: list[CellInfo] = []
-        links: list[list[LinkInfo]] = []
-        h, w = self.image_hw
+        links: list[list[tuple[int, ops.OpContext]]] = []
         ch = self.init_channels
         out_hw: list[tuple[int, int]] = []
         out_ch: list[int] = []
-
-        def src_hw(s: int) -> tuple[int, int]:
-            return self.image_hw if s == STEM else out_hw[s]
-
-        def src_ch(s: int) -> int:
-            return self.init_channels if s == STEM else out_ch[s]
-
         for i in range(self.n_cells):
             reduction = i in reds
             if reduction:
@@ -145,25 +145,19 @@ class NetworkPlan:
                 out_channels=self.n_intermediate * ch,
             )
             cell_links = []
-            for slot, src in enumerate((i - 2, i - 1)):
+            for k, src in enumerate((i - 2, i - 1)):
                 src = src if src >= 0 else STEM
-                sh = src_hw(src)
+                sh = self.image_hw if src == STEM else out_hw[src]
                 stride = sh[0] // in_hw[0]
                 if stride not in (1, 2) or sh[1] // in_hw[1] != stride:
-                    raise ValueError(f"cell {i} slot {slot}: cannot bridge {sh} -> {in_hw}")
-                cell_links.append(
-                    LinkInfo(
-                        dst=i,
-                        slot=slot,
-                        src=src,
-                        context=ops.OpContext(src_ch(src), ch, sh[0], sh[1], stride),
-                    )
-                )
+                    raise ValueError(f"cell {i} slot {k}: cannot bridge {sh} -> {in_hw}")
+                c_src = self.init_channels if src == STEM else out_ch[src]
+                cell_links.append((src, ops.OpContext(c_src, ch, sh[0], sh[1], stride)))
             infos.append(info)
             links.append(cell_links)
             out_hw.append(cell_out_hw)
             out_ch.append(info.out_channels)
-        return Layout(plan=self, cells=infos, links=links)
+        return Layout(plan=self, cells=infos, links=links, templates=self.templates())
 
 
 def _group_of(conn_op: str) -> int:
@@ -188,32 +182,52 @@ class CellInfo:
         return ops.OpContext(self.channels, self.channels, hw[0], hw[1], stride)
 
 
-@dataclass(frozen=True)
-class LinkInfo:
-    dst: int
-    slot: int
-    src: int  # cell index or STEM
+class Slot(NamedTuple):
+    """One op placement: a link into a cell, or one of its template edges."""
+
+    cell: int
+    prefix: str  # parameter-name prefix: cellN.inK or cellN.edgeI_J
+    kind: str | None  # logits kind; None for a link when connection cells are off
+    edge: tuple[int, int]  # a link is edge (0, 1) of the connection template
     context: ops.OpContext
+    src: int | None = None  # links only: the source cell, or STEM
 
 
 @dataclass
 class Layout:
     plan: NetworkPlan
     cells: list[CellInfo]
-    links: list[list[LinkInfo]] = field(default_factory=list)
+    links: list[list[tuple[int, ops.OpContext]]] = field(default_factory=list)  # (source cell or STEM, context)
+    templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
 
     @property
     def final_channels(self) -> int:
         return self.cells[-1].out_channels
 
+    def slots(self) -> Iterator[Slot]:
+        """Every op placement once, in the order networks draw weights:
+        per cell its two links, then its template edges."""
+        link_kind = cells.CONNECT_KIND if self.plan.use_connection else None
+        for info, cell_links in zip(self.cells, self.links):
+            for k, (src, ctx) in enumerate(cell_links):
+                yield Slot(info.index, f"cell{info.index}.in{k}", link_kind, (0, 1), ctx, src)
+            tpl = self.templates[info.kind]
+            for edge in tpl.edges():
+                prefix = f"cell{info.index}.edge{edge[0]}_{edge[1]}"
+                yield Slot(info.index, prefix, info.kind, edge, info.edge_context(tpl, edge))
+
+
+EdgeFn = Callable[[Tensor], Tensor]
+
 
 class _NetworkBase:
-    """Stem / link / classifier plumbing shared by both network flavors."""
+    """The one build and forward both network flavors share. A subclass
+    says what a slot holds through ``_slot_op``."""
 
     def __init__(self, plan: NetworkPlan, seed: int):
         self.plan = plan
         self.layout = plan.layout()
-        self.templates = plan.templates()
+        self.templates = self.layout.templates
         ss = np.random.SeedSequence(seed)
         w_ss, theta_ss = ss.spawn(2)
         self._w_rng = np.random.default_rng(w_ss)
@@ -221,7 +235,7 @@ class _NetworkBase:
         self._params: list[Parameter] = []
 
         C = plan.init_channels
-        self.stem_w = self._track(_conv_init(self._w_rng, C, plan.in_channels, 3, "stem.conv.weight"))
+        self.stem_w = self._track(ops._init_conv(self._w_rng, C, plan.in_channels, 3, "stem.conv.weight"))
         self.stem_gamma = self._track(Parameter(np.ones(C), "stem.bn.gamma"))
         self.stem_beta = self._track(Parameter(np.zeros(C), "stem.bn.beta"))
 
@@ -229,22 +243,46 @@ class _NetworkBase:
         self._params.append(p)
         return p
 
-    def _track_all(self, params: list[Parameter]) -> None:
-        self._params.extend(params)
+    def _slot_op(self, slot: Slot) -> EdgeFn | None:  # pragma: no cover - overridden
+        raise NotImplementedError
 
-    def _build_classifier(self) -> None:
+    def _build_op(self, op_name: str, slot: Slot) -> ops.OpInstance:
+        inst = ops.build(op_name, slot.context, self._w_rng, f"{slot.prefix}.{op_name}")
+        self._params.extend(inst.parameters)
+        return inst
+
+    def _build(self) -> None:
+        """Build every slot in walk order, then the classifier."""
+        self._links: list[list[tuple[int, EdgeFn]]] = [[] for _ in self.layout.cells]
+        self._nodes: list[dict[int, list[tuple[int, EdgeFn]]]] = [{} for _ in self.layout.cells]
+        for slot in self.layout.slots():
+            fn = self._build_op(FIXED_LINK_OP, slot) if slot.kind is None else self._slot_op(slot)
+            if slot.src is not None:
+                self._links[slot.cell].append((slot.src, fn))
+            elif fn is not None:
+                i, j = slot.edge
+                self._nodes[slot.cell].setdefault(j, []).append((i, fn))
+
         feat = self.layout.final_channels
         K = self.plan.n_classes
         bound = np.sqrt(6.0 / feat)
         self.fc_w = self._track(Parameter(self._w_rng.uniform(-bound, bound, size=(K, feat)), "classifier.weight"))
         self.fc_b = self._track(Parameter(np.zeros(K), "classifier.bias"))
+        self.check_names_unique()
 
-    def _stem_forward(self, x: Tensor) -> Tensor:
-        y = conv2d(x, self.stem_w, stride=1, padding=1)
-        return batch_norm(y, self.stem_gamma, self.stem_beta)
-
-    def _classify(self, feat: Tensor) -> Tensor:
-        return linear(global_avg_pool(feat), self.fc_w, self.fc_b)
+    def _forward(self, x, tap: int | None) -> Tensor:
+        """Stem, then per cell its links and ``cells.cell_forward``, then
+        the classifier; ``tap`` returns cell ``tap``'s output instead."""
+        xt = x if isinstance(x, Tensor) else Tensor(x)
+        stem_out = batch_norm(conv2d(xt, self.stem_w, stride=1, padding=1), self.stem_gamma, self.stem_beta)
+        outs: list[Tensor] = []
+        for info, links, nodes in zip(self.layout.cells, self._links, self._nodes):
+            ins = [fn(stem_out if src == STEM else outs[src]) for src, fn in links]
+            out = cells.cell_forward(self.templates[info.kind], ins, nodes)
+            outs.append(out)
+            if tap is not None and info.index == tap:
+                return out
+        return linear(global_avg_pool(outs[-1]), self.fc_w, self.fc_b)
 
     def weight_params(self) -> list[Parameter]:
         return list(self._params)
@@ -268,105 +306,26 @@ class _NetworkBase:
         logits = self.forward(x)
         return cross_entropy_logits(logits, y), logits
 
-    def forward(self, x, tap: int | None = None) -> Tensor:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-def _conv_init(rng: np.random.Generator, c_out: int, c_in: int, k: int, name: str) -> Parameter:
-    bound = np.sqrt(6.0 / (c_in * k * k))
-    return Parameter(rng.uniform(-bound, bound, size=(c_out, c_in, k, k)), name)
-
-
-class _FixedAdapter:
-    """ReLU -> 1x1 conv (stride matches the link) -> BN, used when
-    connection cells are disabled."""
-
-    def __init__(self, ctx: ops.OpContext, rng: np.random.Generator, prefix: str):
-        self.ctx = ctx
-        self.w = _conv_init(rng, ctx.c_out, ctx.c_in, 1, f"{prefix}.conv.weight")
-        self.gamma = Parameter(np.ones(ctx.c_out), f"{prefix}.bn.gamma")
-        self.beta = Parameter(np.zeros(ctx.c_out), f"{prefix}.bn.beta")
-        self.parameters = [self.w, self.gamma, self.beta]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        y = conv2d(relu(x), self.w, stride=self.ctx.stride)
-        return batch_norm(y, self.gamma, self.beta)
-
-    @staticmethod
-    def param_cost(ctx: ops.OpContext) -> int:
-        return ctx.c_in * ctx.c_out + 2 * ctx.c_out
-
-    @staticmethod
-    def flop_cost(ctx: ops.OpContext) -> int:
-        return ctx.c_in * ctx.c_out * ctx.h_out * ctx.w_out
-
 
 class Supernet(_NetworkBase):
-    """Relaxed search network: every candidate op on every edge, mixed by
+    """Relaxed search network: every candidate op on every slot, mixed by
     softmax over shared per-kind logits."""
 
     def __init__(self, plan: NetworkPlan, seed: int, theta_init_scale: float = 1e-3):
         super().__init__(plan, seed)
         self.arch = cells.ArchParams(self.templates, self._theta_rng, init_scale=theta_init_scale)
+        self._build()
 
-        self._cell_ops: list[dict[tuple[int, int], list[ops.OpInstance]]] = []
-        self._link_mods: list[list] = []
-        for info, cell_links in zip(self.layout.cells, self.layout.links):
-            mods = []
-            for link in cell_links:
-                mods.append(self._build_link(link))
-            self._link_mods.append(mods)
-            tpl = self.templates[info.kind]
-            per_edge: dict[tuple[int, int], list[ops.OpInstance]] = {}
-            for edge in tpl.edges():
-                ctx = info.edge_context(tpl, edge)
-                insts = []
-                for op_name in tpl.op_names:
-                    inst = ops.build(
-                        op_name, ctx, self._w_rng, f"cell{info.index}.edge{edge[0]}_{edge[1]}.{op_name}"
-                    )
-                    self._track_all(inst.parameters)
-                    insts.append(inst)
-                per_edge[edge] = insts
-            self._cell_ops.append(per_edge)
-        self._build_classifier()
-        self.check_names_unique()
+    def _slot_op(self, slot: Slot) -> EdgeFn:
+        theta = self.arch.vector(slot.kind, slot.edge)
+        insts = [self._build_op(op_name, slot) for op_name in self.templates[slot.kind].op_names]
+        # looked up at call time, so a wrapper installed on the module sees every call
+        return lambda x: cells.mixed_edge_forward(theta, x, insts)
 
-    def _build_link(self, link: LinkInfo):
-        prefix = f"cell{link.dst}.in{link.slot}"
-        if not self.plan.use_connection:
-            adapter = _FixedAdapter(link.context, self._w_rng, prefix)
-            self._track_all(adapter.parameters)
-            return adapter
-        tpl = self.templates[cells.CONNECT_KIND]
-        insts = []
-        for op_name in tpl.op_names:
-            inst = ops.build(op_name, link.context, self._w_rng, f"{prefix}.{op_name}")
-            self._track_all(inst.parameters)
-            insts.append(inst)
-        theta = self.arch.vector(cells.CONNECT_KIND, (0, 1))
-
-        def run(x: Tensor) -> Tensor:
-            return cells.mixed_edge_forward(theta, x, insts)
-
-        return run
-
+    # Each class defines its own forward (and __init__) so that a tracer
+    # wrapping a class's own methods can tell the two networks apart.
     def forward(self, x, tap: int | None = None) -> Tensor:
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        stem_out = self._stem_forward(xt)
-        outs: list[Tensor] = []
-        for info, mods in zip(self.layout.cells, self._link_mods):
-            tpl = self.templates[info.kind]
-            ins = []
-            for link, mod in zip(self.layout.links[info.index], mods):
-                src_t = stem_out if link.src == STEM else outs[link.src]
-                ins.append(mod(src_t))
-            theta_map = {e: self.arch.vector(info.kind, e) for e in tpl.edges()}
-            out = cells.cell_forward(tpl, ins, theta_map, self._cell_ops[info.index])
-            outs.append(out)
-            if tap is not None and info.index == tap:
-                return out
-        return self._classify(outs[-1])
+        return self._forward(x, tap)
 
     def theta_tensors(self) -> list[Tensor]:
         return self.arch.tensors()
@@ -386,97 +345,12 @@ class DiscreteNetwork(_NetworkBase):
         super().__init__(plan, seed)
         arch.validate(self.templates)
         self.arch = arch
+        self._build()
 
-        self._cell_ops: list[dict[int, list[tuple[int, ops.OpInstance]]]] = []
-        self._link_mods: list[list] = []
-        for info, cell_links in zip(self.layout.cells, self.layout.links):
-            mods = []
-            for link in cell_links:
-                mods.append(self._build_link(link))
-            self._link_mods.append(mods)
-            tpl = self.templates[info.kind]
-            per_node: dict[int, list[tuple[int, ops.OpInstance]]] = {}
-            for j, picks in sorted(arch.choices[info.kind].items()):
-                built = []
-                for p, op_name in picks:
-                    ctx = info.edge_context(tpl, (p, j))
-                    inst = ops.build(op_name, ctx, self._w_rng, f"cell{info.index}.edge{p}_{j}.{op_name}")
-                    self._track_all(inst.parameters)
-                    built.append((p, inst))
-                per_node[j] = built
-            self._cell_ops.append(per_node)
-        self._build_classifier()
-        self.check_names_unique()
+    def _slot_op(self, slot: Slot) -> ops.OpInstance | None:
+        op_name = self.arch.op_on(slot.kind, slot.edge)
+        return None if op_name is None else self._build_op(op_name, slot)
 
-    def _build_link(self, link: LinkInfo):
-        prefix = f"cell{link.dst}.in{link.slot}"
-        if not self.plan.use_connection:
-            adapter = _FixedAdapter(link.context, self._w_rng, prefix)
-            self._track_all(adapter.parameters)
-            return adapter
-        picks = self.arch.choices[cells.CONNECT_KIND][1]
-        (_, op_name), = picks
-        inst = ops.build(op_name, link.context, self._w_rng, f"{prefix}.{op_name}")
-        self._track_all(inst.parameters)
-        return inst
-
+    # See Supernet.forward.
     def forward(self, x, tap: int | None = None) -> Tensor:
-        from .autodiff import add, concat
-
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        stem_out = self._stem_forward(xt)
-        outs: list[Tensor] = []
-        for info, mods in zip(self.layout.cells, self._link_mods):
-            tpl = self.templates[info.kind]
-            states: list[Tensor] = []
-            for link, mod in zip(self.layout.links[info.index], mods):
-                src_t = stem_out if link.src == STEM else outs[link.src]
-                states.append(mod(src_t))
-            for j in tpl.intermediates:
-                acc = None
-                for p, inst in self._cell_ops[info.index][j]:
-                    term = inst(states[p])
-                    acc = term if acc is None else add(acc, term)
-                states.append(acc)
-            out = concat(states[tpl.n_inputs :], axis=1) if tpl.concat_output else states[tpl.n_inputs]
-            outs.append(out)
-            if tap is not None and info.index == tap:
-                return out
-        return self._classify(outs[-1])
-
-class ReferenceConvNet:
-    """Two conv blocks and a linear head: a floor model for dataset checks.
-
-    If this cannot learn a dataset, no searched cell architecture will;
-    tests use it to certify the synthetic generators are learnable.
-    """
-
-    def __init__(self, in_channels: int, n_classes: int, channels: int = 16, seed: int = 0):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.conv1 = _conv_init(rng, channels, in_channels, 3, "ref.conv1")
-        self.g1 = Parameter(np.ones(channels), "ref.bn1.gamma")
-        self.b1 = Parameter(np.zeros(channels), "ref.bn1.beta")
-        self.conv2 = _conv_init(rng, channels, channels, 3, "ref.conv2")
-        self.g2 = Parameter(np.ones(channels), "ref.bn2.gamma")
-        self.b2 = Parameter(np.zeros(channels), "ref.bn2.beta")
-        bound = np.sqrt(6.0 / channels)
-        self.fc_w = Parameter(rng.uniform(-bound, bound, size=(n_classes, channels)), "ref.fc.weight")
-        self.fc_b = Parameter(np.zeros(n_classes), "ref.fc.bias")
-        self._params = [self.conv1, self.g1, self.b1, self.conv2, self.g2, self.b2, self.fc_w, self.fc_b]
-
-    def weight_params(self) -> list[Parameter]:
-        return list(self._params)
-
-    def zero_weight_grads(self) -> None:
-        for p in self._params:
-            p.grad = None
-
-    def forward(self, x) -> Tensor:
-        xt = x if isinstance(x, Tensor) else Tensor(x)
-        h = relu(batch_norm(conv2d(xt, self.conv1, stride=1, padding=1), self.g1, self.b1))
-        h = relu(batch_norm(conv2d(h, self.conv2, stride=2, padding=1), self.g2, self.b2))
-        return linear(global_avg_pool(h), self.fc_w, self.fc_b)
-
-    def loss(self, x, y) -> tuple[Tensor, Tensor]:
-        logits = self.forward(x)
-        return cross_entropy_logits(logits, y), logits
+        return self._forward(x, tap)

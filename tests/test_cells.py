@@ -102,7 +102,7 @@ def test_connection_cell_is_single_mixed_edge():
     edge_ops = _edge_ops((ops.GROUP_CONV_G1, ops.GROUP_CONV_G2), c=8, seed=3)
     theta = Tensor(np.array([0.3, -0.2]))
     x = Tensor(_rng(4).standard_normal((2, 8, 8, 8)))
-    out = cell_forward(tpl, [x], {(0, 1): theta}, {(0, 1): edge_ops})
+    out = cell_forward(tpl, [x], {1: [(0, lambda t: mixed_edge_forward(theta, t, edge_ops))]})
     ref = mixed_edge_forward(theta, x, edge_ops)
     np.testing.assert_array_equal(out.data, ref.data)
 
@@ -113,7 +113,12 @@ def test_cell_forward_concats_intermediates():
     edge_ops = {e: _edge_ops((ops.ZERO, ops.IDENTITY)) for e in tpl.edges()}
     a = Tensor(np.full((1, 4, 8, 8), 1.0))
     b = Tensor(np.full((1, 4, 8, 8), 2.0))
-    out = cell_forward(tpl, [a, b], theta, edge_ops)
+    node_edges = {}
+    for i, j in tpl.edges():
+        node_edges.setdefault(j, []).append(
+            (i, lambda t, e=(i, j): mixed_edge_forward(theta[e], t, edge_ops[e]))
+        )
+    out = cell_forward(tpl, [a, b], node_edges)
     assert out.shape == (1, 8, 8, 8)
     # node 2 = a + b = 3; node 3 = a + b + node2 = 6 (identity saturated everywhere)
     np.testing.assert_allclose(out.data[:, :4], 3.0, atol=1e-12)

@@ -1,5 +1,6 @@
 """Macro network assembly: plans, layouts, supernet and discrete builds."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -11,10 +12,11 @@ from rcnas.cost import build_cost_table, exact_cost
 from rcnas.network import (
     DiscreteNetwork,
     NetworkPlan,
-    ReferenceConvNet,
     Supernet,
     default_reduction_positions,
 )
+
+from reference_net import ReferenceConvNet
 
 
 def _plan(**kw):
@@ -95,13 +97,57 @@ def test_supernet_weight_count_matches_cost_table_no_connection():
     assert net.weight_count() == expected
 
 
-def test_discrete_weight_count_matches_exact_cost():
-    plan = _plan(n_cells=3, image_hw=(8, 8))
+@pytest.mark.parametrize("use_connection", [True, False], ids=["connection", "fixed_links"])
+def test_discrete_weight_count_matches_exact_cost(use_connection):
+    plan = _plan(n_cells=3, image_hw=(8, 8), use_connection=use_connection)
     net = Supernet(plan, seed=1)
     arch = cells.derive_discrete(net.arch, plan.templates())
     dnet = DiscreteNetwork(plan, arch, seed=2)
     params, _flops = exact_cost(arch, plan)
     assert dnet.weight_count() == params
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of the weight data in weight_params() order and of one forward
+# output, recorded before the two networks shared one slot walk: the build
+# must draw the same weights in the same order and compute the same outputs
+GOLDEN_DIGESTS = {
+    (True, "supernet"): (
+        "03aa470529106db6ecaaa28b66acc05934e1ca9e96db08fd1b9c9ba9e56b0b61",
+        "9f516830e5d3dbd85eea867f37f9c62a02605a51f3f0f572c045b482c696be4e",
+    ),
+    (True, "discrete"): (
+        "942a6e418d25e12b374dbe82698e832c00adad6f43df1a117e2b426d9b625f86",
+        "61062aaa1a489c4859c15884c4e4b2dcd1f1dece904f06b10568e1b8eb321734",
+    ),
+    (False, "supernet"): (
+        "3899b143468795cc2e5a41a27520da63bd0746346a27b400f2c6f92e16e27d58",
+        "790bfb00f8dbe923d192cafd2e70c491074338c17230da1092fdddbd4bd47840",
+    ),
+    (False, "discrete"): (
+        "dc27a458a57a9a077ba44c44ea3eb160336bd728ab3760226ecf35e023be8b60",
+        "48efe91f61db2b15d56475cdfab82b29bc6dbe3e8b98bb841ae541155d2c8d6e",
+    ),
+}
+
+
+@pytest.mark.parametrize("use_connection", [True, False], ids=["connection", "fixed_links"])
+def test_weights_and_forward_match_golden_digests(use_connection):
+    plan = _plan(n_cells=3, n_nodes=5, use_connection=use_connection)
+    snet = Supernet(plan, seed=21)
+    arch = cells.derive_discrete(snet.arch, plan.templates())
+    dnet = DiscreteNetwork(plan, arch, seed=22)
+    x = np.random.default_rng(6).standard_normal((2, 3, 8, 8))
+    for name, net in (("supernet", snet), ("discrete", dnet)):
+        weights = _digest(p.data for p in net.weight_params())
+        output = _digest([net.forward(x).data])
+        assert (weights, output) == GOLDEN_DIGESTS[use_connection, name], name
 
 
 def test_forward_shapes_and_tap():

@@ -8,7 +8,7 @@ from rcnas.autodiff import Tape
 from rcnas.cells import DiscreteArch
 from rcnas.cost import ConstraintBox, CostScope
 from rcnas.data import BatchStream, make_blobs, make_shapes, normalization_stats, normalize, split_dataset, SplitSpec
-from rcnas.network import NetworkPlan, ReferenceConvNet
+from rcnas.network import NetworkPlan
 from rcnas.optim import SGD
 from rcnas.projection import ProjectionConfig
 from rcnas.search import (
@@ -23,6 +23,8 @@ from rcnas.search import (
     run_search,
     save_checkpoint,
 )
+
+from reference_net import ReferenceConvNet
 
 IDENTITY_ARCH = DiscreteArch(
     {
