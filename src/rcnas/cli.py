@@ -511,20 +511,23 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rcnas", description="Cost-constrained architecture search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, arch=False, needs_out=False):
+    # each subcommand takes only the flags it reads
+    def add_common(p, arch=False, needs_out=False, seed=None, scope=False):
         p.add_argument("--config", required=True, help="JSON config (or a manifest from a past run)")
         if arch:
             p.add_argument("--arch", required=True, help="architecture JSON file")
         p.add_argument("--out", default=None, help="output " + ("file" if needs_out else "directory"))
-        p.add_argument("--seed", type=int, default=None, help="override the relevant seed")
-        p.add_argument("--scope", choices=["topk", "fulldag"], default=None, help="cost scope override")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help=f"override {seed}")
+        if scope:
+            p.add_argument("--scope", choices=["topk", "fulldag"], default=None, help="cost scope override")
 
     p_search = sub.add_parser("search", help="run the constrained bilevel search")
-    add_common(p_search)
+    add_common(p_search, seed="search.seed", scope=True)
     p_search.set_defaults(func=_cmd_search)
 
     p_cost = sub.add_parser("cost", help="cost report for an architecture")
-    add_common(p_cost, arch=True, needs_out=True)
+    add_common(p_cost, arch=True, needs_out=True, scope=True)
     p_cost.set_defaults(func=_cmd_cost)
 
     p_enum = sub.add_parser("enumerate", help="list every architecture in a small space")
@@ -532,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_eval = sub.add_parser("eval", help="retrain an architecture and report accuracy")
-    add_common(p_eval, arch=True, needs_out=True)
+    add_common(p_eval, arch=True, needs_out=True, seed="eval.seed")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_dot = sub.add_parser("export-dot", help="render an architecture as Graphviz DOT")

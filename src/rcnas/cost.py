@@ -172,14 +172,12 @@ def build_cost_table(plan: NetworkPlan) -> CostTable:
     entries: list[EdgeCost] = []
     for slot in layout.slots():
         if slot.kind is None:
-            fixed[0] += ops.param_count(FIXED_LINK_OP, slot.context)
-            fixed[1] += ops.flop_count(FIXED_LINK_OP, slot.context)
+            fixed += ops.counts(FIXED_LINK_OP, slot.context)
             continue
         tpl = templates[slot.kind]
         u = np.zeros((N_METRICS, tpl.n_ops))
         for oi, op_name in enumerate(tpl.op_names):
-            u[0, oi] = ops.param_count(op_name, slot.context)
-            u[1, oi] = ops.flop_count(op_name, slot.context)
+            u[:, oi] = ops.counts(op_name, slot.context)
         entries.append(EdgeCost(slot.prefix, slot.kind, slot.edge, slot.edge[1], u))
     return CostTable(entries=entries, fixed=fixed, templates=templates)
 
@@ -350,8 +348,9 @@ def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
     for slot in layout.slots():
         op_name = FIXED_LINK_OP if slot.kind is None else arch.op_on(slot.kind, slot.edge)
         if op_name is not None:
-            total[0] += ops.param_count(op_name, slot.context)
-            total[1] += ops.flop_count(op_name, slot.context)
+            params, flops = ops.counts(op_name, slot.context)
+            total[0] += params
+            total[1] += flops
     return total
 
 

@@ -84,11 +84,11 @@ class NetworkPlan:
         if h % factor or w % factor:
             raise ValueError(f"image {h}x{w} not divisible by total reduction factor {factor}")
         if self.use_connection:
-            gmax = max(_group_of(name) for name in self.connection_ops)
-            if self.init_channels % gmax:
-                raise ValueError(
-                    f"init_channels={self.init_channels} must be divisible by {gmax} for grouped connection ops"
-                )
+            # every link's channel count is a multiple of init_channels, so a
+            # connection op whose plan fits init_channels fits every link;
+            # a misfit raises ShapeError, a ValueError
+            for name in self.connection_ops:
+                ops.layer_plan(name, ops.OpContext(self.init_channels, self.init_channels, 1, 1))
 
     @property
     def reductions(self) -> tuple[int, ...]:
@@ -158,10 +158,6 @@ class NetworkPlan:
             out_hw.append(cell_out_hw)
             out_ch.append(info.out_channels)
         return Layout(plan=self, cells=infos, links=links, templates=self.templates())
-
-
-def _group_of(conn_op: str) -> int:
-    return {ops.DIL_CONV_3: 1, ops.GROUP_CONV_G1: 1, ops.GROUP_CONV_G2: 2, ops.GROUP_CONV_G4: 4}[conn_op]
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,28 @@ channel-adapting cells between other cells use the 4-op set
 CONNECTION_OPS (a dilated 3x3 conv and grouped 1x1 convs with channel
 shuffle).
 
+Each op is described once, by its layer plan: layer_plan(kind, ctx) reads
+the name -> plan table _PLANS and returns a tuple of steps, each one of
+  ("relu",)  ("bn", c)  ("shuffle", groups)  ("zero", c_out, h_out, w_out)
+  ("conv", c_in, c_out, k, stride, dilation, groups)
+  ("pool", "max" | "avg", c, stride): 3x3, padding 1
+  ("fr", c_in, c_out): factorized reduce, two parallel stride-2 1x1 convs
+      to c_out/2 channels each, on the even grid and on the grid shifted
+      by one pixel, concatenated
+Identity at stride 1 is the empty plan. The plan is the only check of a
+placement, and counts() and build() are each one loop over it, so they
+accept the same placements and the formulas match the built weights by
+construction.
+
 Cost conventions (normative, mirrored in the README):
   - conv k x k with groups g: params k^2 * c_in * c_out / g (no bias),
     FLOPs (multiply-accumulates) k^2 * (c_in/g) * c_out * h_out * w_out
+  - factorized reduce: two 1x1 convs, each c_in * c_out / 2 params and
+    that times h_out * w_out FLOPs
   - batch norm: 2 * c params, 0 FLOPs
   - pools: 0 params, k^2 * c * h_out * w_out FLOPs
-  - identity / zero: 0 params, 0 FLOPs
+  - identity at stride 1 / zero: 0 params, 0 FLOPs
   - ReLU, channel shuffle, global pooling: uncounted
-
-param_count / flop_count and build() derive from the same per-kind layer
-plan, so the formulas match the instantiated weights by construction.
 """
 from __future__ import annotations
 
@@ -46,6 +58,8 @@ __all__ = [
     "OpContext",
     "OpInstance",
     "build",
+    "layer_plan",
+    "counts",
     "param_count",
     "flop_count",
     "UnknownOpError",
@@ -117,15 +131,16 @@ class OpContext:
 
 
 class OpInstance:
-    """A built operation: parameters plus a forward over batched tensors."""
+    """A built operation: parameters plus its plan's steps as forwards over
+    batched tensors, run in order."""
 
-    __slots__ = ("kind", "context", "parameters", "_forward")
+    __slots__ = ("kind", "context", "parameters", "steps")
 
-    def __init__(self, kind: str, context: OpContext, parameters: list[Parameter], forward: Callable[[Tensor], Tensor]):
+    def __init__(self, kind: str, context: OpContext, parameters: list[Parameter], steps: list[Callable[[Tensor], Tensor]]):
         self.kind = kind
         self.context = context
         self.parameters = parameters
-        self._forward = forward
+        self.steps = steps
 
     def __call__(self, x: Tensor) -> Tensor:
         ctx = self.context
@@ -134,7 +149,9 @@ class OpInstance:
                 self.kind,
                 f"expected input (B, {ctx.c_in}, {ctx.h_in}, {ctx.w_in}), got {x.shape}",
             )
-        return self._forward(x)
+        for step in self.steps:
+            x = step(x)
+        return x
 
     def weight_count(self) -> int:
         return sum(p.size for p in self.parameters)
@@ -143,127 +160,104 @@ class OpInstance:
         return f"OpInstance({self.kind}, {self.context})"
 
 
-def _same_pad(k: int, dilation: int = 1) -> int:
-    # padding that preserves spatial size at stride 1 for odd k
-    return dilation * (k - 1) // 2
-
-
-# Layer plans: ("conv", c_in, c_out, k, stride, dilation, groups) | ("bn", c).
-# ReLU/pool/shuffle layers carry no cost and are omitted here.
-
-
-def _sep_conv_layers(ctx: OpContext, k: int) -> list[tuple]:
+def _same_channels(kind: str, ctx: OpContext) -> int:
     if ctx.c_in != ctx.c_out:
-        raise ShapeError("sep_conv", f"requires c_in == c_out, got {ctx.c_in}->{ctx.c_out}")
-    c = ctx.c_in
-    return [
-        ("conv", c, c, k, ctx.stride, 1, c),  # depthwise, carries the stride
-        ("conv", c, c, 1, 1, 1, 1),
-        ("bn", c),
-        ("conv", c, c, k, 1, 1, c),
-        ("conv", c, c, 1, 1, 1, 1),
-        ("bn", c),
-    ]
+        raise ShapeError(kind, f"requires c_in == c_out, got {ctx.c_in}->{ctx.c_out}")
+    return ctx.c_in
 
 
-def _dil_sep_conv_layers(ctx: OpContext, k: int) -> list[tuple]:
-    if ctx.c_in != ctx.c_out:
-        raise ShapeError("dil_sep_conv", f"requires c_in == c_out, got {ctx.c_in}->{ctx.c_out}")
-    c = ctx.c_in
-    return [
-        ("conv", c, c, k, ctx.stride, 2, c),  # depthwise with dilation 2
-        ("conv", c, c, 1, 1, 1, 1),
-        ("bn", c),
-    ]
+def _sep_conv(k: int, dilation: int, blocks: int):
+    # blocks x (ReLU, depthwise k x k, pointwise 1x1, BN); only the first
+    # depthwise conv carries the stride
+    def plan(kind: str, ctx: OpContext) -> tuple:
+        c = _same_channels(kind, ctx)
+        first = (("relu",), ("conv", c, c, k, ctx.stride, dilation, c), ("conv", c, c, 1, 1, 1, 1), ("bn", c))
+        rest = (("relu",), ("conv", c, c, k, 1, dilation, c)) + first[2:]
+        return first + rest * (blocks - 1)
+
+    return plan
 
 
-def _dil_conv_layers(ctx: OpContext) -> list[tuple]:
-    return [
-        ("conv", ctx.c_in, ctx.c_out, 3, ctx.stride, 2, 1),
-        ("bn", ctx.c_out),
-    ]
+def _conv_bn(k: int, dilation: int, groups: int):
+    # ReLU, one k x k conv at the placement's stride, BN; a grouped conv
+    # shuffles its channels before the BN
+    def plan(kind: str, ctx: OpContext) -> tuple:
+        if ctx.c_in % groups or ctx.c_out % groups:
+            raise ShapeError(kind, f"channels {ctx.c_in}->{ctx.c_out} not divisible by groups {groups}")
+        conv = ("conv", ctx.c_in, ctx.c_out, k, ctx.stride, dilation, groups)
+        shuffle = (("shuffle", groups),) if groups > 1 else ()
+        return (("relu",), conv) + shuffle + (("bn", ctx.c_out),)
+
+    return plan
 
 
-def _group_conv_layers(ctx: OpContext, g: int) -> list[tuple]:
-    if ctx.c_in % g or ctx.c_out % g:
-        raise ShapeError("group_conv_1x1", f"channels {ctx.c_in}->{ctx.c_out} not divisible by groups {g}")
-    return [
-        ("conv", ctx.c_in, ctx.c_out, 1, ctx.stride, 1, g),
-        ("bn", ctx.c_out),
-    ]
-
-
-def _identity_passthrough(ctx: OpContext) -> bool:
-    return ctx.stride == 1 and ctx.c_in == ctx.c_out
-
-
-def _factorized_reduce_layers(ctx: OpContext) -> list[tuple]:
-    # two parallel stride-2 1x1 convs each producing half the channels
+def _identity(kind: str, ctx: OpContext) -> tuple:
+    if ctx.stride == 1:
+        _same_channels(kind, ctx)
+        return ()
     if ctx.c_out % 2:
-        raise ShapeError("identity", f"channel-changing identity needs even c_out, got {ctx.c_out}")
-    half = ctx.c_out // 2
-    return [
-        ("conv", ctx.c_in, half, 1, 2, 1, 1),
-        ("conv", ctx.c_in, half, 1, 2, 1, 1),
-        ("bn", ctx.c_out),
-    ]
+        raise ShapeError(kind, f"factorized reduce needs even c_out, got {ctx.c_out}")
+    return (("relu",), ("fr", ctx.c_in, ctx.c_out), ("bn", ctx.c_out))
 
 
-def _layers_for(kind: str, ctx: OpContext) -> list[tuple]:
-    if kind == SEP_CONV_3:
-        return _sep_conv_layers(ctx, 3)
-    if kind == SEP_CONV_5:
-        return _sep_conv_layers(ctx, 5)
-    if kind == DIL_SEP_CONV_3:
-        return _dil_sep_conv_layers(ctx, 3)
-    if kind == DIL_SEP_CONV_5:
-        return _dil_sep_conv_layers(ctx, 5)
-    if kind in (MAX_POOL_3, AVG_POOL_3):
-        if ctx.c_in != ctx.c_out:
-            raise ShapeError(kind, f"requires c_in == c_out, got {ctx.c_in}->{ctx.c_out}")
-        return []
-    if kind == IDENTITY:
-        if _identity_passthrough(ctx):
-            return []
-        return _factorized_reduce_layers(ctx)
-    if kind == ZERO:
-        return []
-    if kind == DIL_CONV_3:
-        return _dil_conv_layers(ctx)
-    if kind == GROUP_CONV_G1:
-        return _group_conv_layers(ctx, 1)
-    if kind == GROUP_CONV_G2:
-        return _group_conv_layers(ctx, 2)
-    if kind == GROUP_CONV_G4:
-        return _group_conv_layers(ctx, 4)
-    raise UnknownOpError(f"unknown op kind {kind!r}")
+_PLANS = {
+    SEP_CONV_3: _sep_conv(3, 1, blocks=2),
+    SEP_CONV_5: _sep_conv(5, 1, blocks=2),
+    DIL_SEP_CONV_3: _sep_conv(3, 2, blocks=1),
+    DIL_SEP_CONV_5: _sep_conv(5, 2, blocks=1),
+    MAX_POOL_3: lambda kind, ctx: (("pool", "max", _same_channels(kind, ctx), ctx.stride),),
+    AVG_POOL_3: lambda kind, ctx: (("pool", "avg", _same_channels(kind, ctx), ctx.stride),),
+    IDENTITY: _identity,
+    ZERO: lambda kind, ctx: (("zero", ctx.c_out, ctx.h_out, ctx.w_out),),
+    DIL_CONV_3: _conv_bn(3, 2, 1),
+    GROUP_CONV_G1: _conv_bn(1, 1, 1),
+    GROUP_CONV_G2: _conv_bn(1, 1, 2),
+    GROUP_CONV_G4: _conv_bn(1, 1, 4),
+}
+
+
+def layer_plan(kind: str, ctx: OpContext) -> tuple:
+    """The op's ordered steps at this placement; raises ShapeError if the
+    placement does not fit the op."""
+    plan = _PLANS.get(kind)
+    if plan is None:
+        raise UnknownOpError(f"unknown op kind {kind!r}")
+    return plan(kind, ctx)
+
+
+def counts(kind: str, ctx: OpContext) -> tuple[int, int]:
+    """(params, FLOPs) of the op at its placement, under the documented
+    conventions: one pass over its plan."""
+    params = flops = 0
+    h, w = ctx.h_in, ctx.w_in
+    for step in layer_plan(kind, ctx):
+        tag = step[0]
+        if tag == "conv":
+            _, c_in, c_out, k, stride, _dil, g = step
+            h, w = h // stride, w // stride
+            params += k * k * (c_in // g) * c_out
+            flops += k * k * (c_in // g) * c_out * h * w
+        elif tag == "fr":  # two 1x1 convs, each c_in -> c_out/2, at stride 2
+            h, w = h // 2, w // 2
+            params += step[1] * step[2]
+            flops += step[1] * step[2] * h * w
+        elif tag == "pool":
+            _, _mode, c, stride = step
+            h, w = h // stride, w // stride
+            flops += 9 * c * h * w
+        elif tag == "bn":
+            params += 2 * step[1]
+    return params, flops
 
 
 def param_count(kind: str, ctx: OpContext) -> int:
     """Scalar weights the op contributes under the documented conventions."""
-    total = 0
-    for layer in _layers_for(kind, ctx):
-        if layer[0] == "conv":
-            _, c_in, c_out, k, _stride, _dil, g = layer
-            total += k * k * c_in * c_out // g
-        elif layer[0] == "bn":
-            total += 2 * layer[1]
-    return total
+    return counts(kind, ctx)[0]
 
 
 def flop_count(kind: str, ctx: OpContext) -> int:
     """Multiply-accumulate count at the op's placement."""
-    if kind in (MAX_POOL_3, AVG_POOL_3):
-        return 9 * ctx.c_in * ctx.h_out * ctx.w_out
-    total = 0
-    h, w = ctx.h_in, ctx.w_in
-    for layer in _layers_for(kind, ctx):
-        if layer[0] == "conv":
-            _, c_in, c_out, k, stride, _dil, g = layer
-            h //= stride
-            w //= stride
-            total += k * k * (c_in // g) * c_out * h * w
-    return total
+    return counts(kind, ctx)[1]
 
 
 def _init_conv(rng: np.random.Generator, c_out: int, c_in_per_group: int, k: int, name: str) -> Parameter:
@@ -273,91 +267,57 @@ def _init_conv(rng: np.random.Generator, c_out: int, c_in_per_group: int, k: int
     return Parameter(data, name)
 
 
-def _build_chain(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str):
-    """Materialize a ReLU -> conv... -> BN chain from the layer plan."""
-    layers = _layers_for(kind, ctx)
-    params: list[Parameter] = []
-    steps: list[tuple] = [("relu",)]
-    idx = 0
-    for layer in layers:
-        if layer[0] == "conv":
-            _, c_in, c_out, k, stride, dil, g = layer
-            idx += 1
-            w = _init_conv(rng, c_out, c_in // g, k, f"{prefix}.conv{idx}.weight")
-            params.append(w)
-            steps.append(("conv", w, stride, _same_pad(k, dil), dil, g))
-            if kind in (GROUP_CONV_G2, GROUP_CONV_G4):
-                steps.append(("shuffle", g))
-        elif layer[0] == "bn":
-            c = layer[1]
-            gamma = Parameter(np.ones(c), f"{prefix}.bn{idx}.gamma")
-            beta = Parameter(np.zeros(c), f"{prefix}.bn{idx}.beta")
-            params.extend([gamma, beta])
-            steps.append(("bn", gamma, beta))
-            if layer is not layers[-1]:
-                steps.append(("relu",))
-
-    def forward(x: Tensor) -> Tensor:
-        out = x
-        for step in steps:
-            if step[0] == "relu":
-                out = relu(out)
-            elif step[0] == "conv":
-                _, w, stride, pad, dil, g = step
-                out = conv2d(out, w, stride=stride, padding=pad, dilation=dil, groups=g)
-            elif step[0] == "shuffle":
-                out = channel_shuffle(out, step[1])
-            elif step[0] == "bn":
-                out = batch_norm(out, step[1], step[2])
-        return out
-
-    return params, forward
+def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Tensor]:
+    # Each closure looks its primitive up in this module at call time, so a
+    # wrapper installed on rcnas.ops after the build still sees every call.
+    tag = step[0]
+    if tag == "relu":
+        return lambda x: relu(x)
+    if tag == "conv":
+        _, c_in, c_out, k, stride, dil, g = step
+        w = conv_weight(c_out, c_in // g, k)
+        pad = dil * (k - 1) // 2  # keeps the size at stride 1 for odd k
+        return lambda x: conv2d(x, w, stride=stride, padding=pad, dilation=dil, groups=g)
+    if tag == "fr":
+        # the even grid and the grid shifted by one pixel, concatenated
+        _, c_in, c_out = step
+        w1 = conv_weight(c_out // 2, c_in, 1)
+        w2 = conv_weight(c_out // 2, c_in, 1)
+        return lambda x: concat([conv2d(x, w1, stride=2), conv2d(crop_offset(x, 1, 1), w2, stride=2)], axis=1)
+    if tag == "bn":
+        gamma, beta = bn_params(step[1])
+        return lambda x: batch_norm(x, gamma, beta)
+    if tag == "shuffle":
+        groups = step[1]
+        return lambda x: channel_shuffle(x, groups)
+    if tag == "pool":
+        _, mode, _c, stride = step
+        if mode == "max":
+            return lambda x: max_pool2d(x, 3, stride, 1)
+        return lambda x: avg_pool2d(x, 3, stride, 1)
+    shape = step[1:]  # "zero"
+    return lambda x: Tensor(np.zeros((x.shape[0],) + shape))
 
 
 def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op") -> OpInstance:
     """Instantiate an op at a placement, drawing weights from ``rng``.
 
-    Weight draws happen in a fixed order so builds are reproducible.
+    Weights are drawn in plan order, so builds are reproducible. The n-th
+    conv weight is ``{prefix}.conv{n}.weight``; a BN is named after the conv
+    before it, ``{prefix}.bn{n}.gamma``/``.beta``.
     """
-    if kind == ZERO:
-        shape = (ctx.c_out, ctx.h_out, ctx.w_out)
+    params: list[Parameter] = []
+    n_conv = 0
 
-        def fwd_zero(x: Tensor) -> Tensor:
-            return Tensor(np.zeros((x.shape[0],) + shape))
+    def conv_weight(c_out: int, c_in_per_group: int, k: int) -> Parameter:
+        nonlocal n_conv
+        n_conv += 1
+        params.append(_init_conv(rng, c_out, c_in_per_group, k, f"{prefix}.conv{n_conv}.weight"))
+        return params[-1]
 
-        return OpInstance(kind, ctx, [], fwd_zero)
+    def bn_params(c: int) -> list[Parameter]:
+        params.extend([Parameter(np.ones(c), f"{prefix}.bn{n_conv}.gamma"), Parameter(np.zeros(c), f"{prefix}.bn{n_conv}.beta")])
+        return params[-2:]
 
-    if kind == IDENTITY and _identity_passthrough(ctx):
-        return OpInstance(kind, ctx, [], lambda x: x)
-
-    if kind == IDENTITY:
-        # factorized reduce: two stride-2 1x1 convs on the even and
-        # one-pixel-shifted grids, concatenated, then BN
-        layers = _factorized_reduce_layers(ctx)
-        half = ctx.c_out // 2
-        w1 = _init_conv(rng, half, ctx.c_in, 1, f"{prefix}.fr.conv1.weight")
-        w2 = _init_conv(rng, half, ctx.c_in, 1, f"{prefix}.fr.conv2.weight")
-        gamma = Parameter(np.ones(ctx.c_out), f"{prefix}.fr.bn.gamma")
-        beta = Parameter(np.zeros(ctx.c_out), f"{prefix}.fr.bn.beta")
-        del layers
-
-        def fwd_fr(x: Tensor) -> Tensor:
-            y = relu(x)
-            a = conv2d(y, w1, stride=2)
-            b = conv2d(crop_offset(y, 1, 1), w2, stride=2)
-            return batch_norm(concat([a, b], axis=1), gamma, beta)
-
-        return OpInstance(kind, ctx, [w1, w2, gamma, beta], fwd_fr)
-
-    if kind == MAX_POOL_3:
-        _layers_for(kind, ctx)  # validates channels
-        s = ctx.stride
-        return OpInstance(kind, ctx, [], lambda x: max_pool2d(x, 3, s, 1))
-
-    if kind == AVG_POOL_3:
-        _layers_for(kind, ctx)
-        s = ctx.stride
-        return OpInstance(kind, ctx, [], lambda x: avg_pool2d(x, 3, s, 1))
-
-    params, forward = _build_chain(kind, ctx, rng, prefix)
-    return OpInstance(kind, ctx, params, forward)
+    steps = [_step_forward(step, conv_weight, bn_params) for step in layer_plan(kind, ctx)]
+    return OpInstance(kind, ctx, params, steps)

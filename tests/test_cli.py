@@ -258,3 +258,27 @@ def test_scope_flag_round_trips_through_manifest(tmp_path):
     out2 = tmp_path / "rerun"
     assert main(["search", "--config", str(out / "manifest.json"), "--out", str(out2)]) == 0
     assert (out / "search_log.csv").read_bytes() == (out2 / "search_log.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("cost", "--seed"),
+        ("enumerate", "--seed"),
+        ("export-dot", "--seed"),
+        ("eval", "--scope"),
+        ("enumerate", "--scope"),
+        ("export-dot", "--scope"),
+    ],
+)
+def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    if command in ("cost", "eval", "export-dot"):
+        argv += ["--arch", str(tmp_path / "arch.json")]
+    value = "1" if flag == "--seed" else "topk"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err
+    assert "Traceback" not in err

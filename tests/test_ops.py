@@ -64,22 +64,25 @@ def test_sep_conv3_flops_8x8():
     assert ops.flop_count(ops.SEP_CONV_3, _ctx()) == 51200
 
 
+def _convs(kind, ctx):
+    return [step for step in ops.layer_plan(kind, ctx) if step[0] == "conv"]
+
+
 def test_sep_conv_is_two_independent_blocks():
-    layers = ops._layers_for(ops.SEP_CONV_3, _ctx())
-    convs = [l for l in layers if l[0] == "conv"]
-    bns = [l for l in layers if l[0] == "bn"]
+    steps = ops.layer_plan(ops.SEP_CONV_3, _ctx())
+    convs = _convs(ops.SEP_CONV_3, _ctx())
+    bns = [step for step in steps if step[0] == "bn"]
     assert len(convs) == 4 and len(bns) == 2
     # depthwise convs are the 1st and 3rd; only the first carries the stride
-    layers2 = ops._layers_for(ops.SEP_CONV_3, _ctx(stride=2))
-    assert layers2[0][4] == 2 and layers2[3][4] == 1
+    convs2 = _convs(ops.SEP_CONV_3, _ctx(stride=2))
+    assert convs2[0][4] == 2 and convs2[2][4] == 1
     inst = ops.build(ops.SEP_CONV_3, _ctx(), _rng())
     names = [p.name for p in inst.parameters]
     assert len(names) == len(set(names)), "blocks must not share parameters"
 
 
 def test_dil_sep_conv_is_single_block_with_dilation_2():
-    layers = ops._layers_for(ops.DIL_SEP_CONV_3, _ctx())
-    convs = [l for l in layers if l[0] == "conv"]
+    convs = _convs(ops.DIL_SEP_CONV_3, _ctx())
     assert len(convs) == 2
     assert convs[0][5] == 2  # dilation on the depthwise conv
     assert ops.param_count(ops.DIL_SEP_CONV_3, _ctx()) == 432
@@ -120,30 +123,69 @@ def test_factorized_reduce_params_80():
     # identity at stride 2, c8 -> c8: two 1x1 halves (2 * 8*4) + bn (16)
     ctx = _ctx(c_in=8, c_out=8, stride=2)
     assert ops.param_count(ops.IDENTITY, ctx) == 80
+    # the two halves run in parallel, each at 4x4: 2 * (8*4 * 16)
+    assert ops.flop_count(ops.IDENTITY, ctx) == 1024
     inst = ops.build(ops.IDENTITY, ctx, _rng())
     assert inst.weight_count() == 80
     out = inst(Tensor(np.ones((2, 8, 8, 8))))
     assert out.shape == (2, 8, 4, 4)
 
 
+def _forward_counting_macs(monkeypatch, inst, x):
+    """One forward of ``inst``, counting the MACs its convs and pools run
+    per sample."""
+    macs = 0
+
+    def counting(primitive, macs_per_output):
+        def counted(*args, **kwargs):
+            nonlocal macs
+            out = primitive(*args, **kwargs)
+            macs += macs_per_output(*args) * int(np.prod(out.shape[1:]))
+            return out
+
+        return counted
+
+    monkeypatch.setattr(ops, "conv2d", counting(ops.conv2d, lambda x, w, *a: w.shape[1] * w.shape[2] * w.shape[3]))
+    monkeypatch.setattr(ops, "max_pool2d", counting(ops.max_pool2d, lambda *a: 9))
+    monkeypatch.setattr(ops, "avg_pool2d", counting(ops.avg_pool2d, lambda *a: 9))
+    return inst(x), macs
+
+
 @pytest.mark.parametrize("kind", ops.NORMAL_OPS)
 @pytest.mark.parametrize("stride", [1, 2])
-def test_normal_op_count_matches_built_instance(kind, stride):
+def test_normal_op_count_matches_built_instance(kind, stride, monkeypatch):
     ctx = _ctx(c_in=8, c_out=8, hw=8, stride=stride)
     inst = ops.build(kind, ctx, _rng())
     assert inst.weight_count() == ops.param_count(kind, ctx)
-    out = inst(Tensor(_rng().standard_normal((2, 8, 8, 8))))
+    out, macs = _forward_counting_macs(monkeypatch, inst, Tensor(_rng().standard_normal((2, 8, 8, 8))))
     assert out.shape == (2, ctx.c_out, ctx.h_out, ctx.w_out)
+    assert macs == ops.flop_count(kind, ctx)
 
 
 @pytest.mark.parametrize("kind", ops.CONNECTION_OPS)
 @pytest.mark.parametrize("c_out,stride", [(8, 1), (16, 2)])
-def test_connection_op_count_matches_built_instance(kind, c_out, stride):
+def test_connection_op_count_matches_built_instance(kind, c_out, stride, monkeypatch):
     ctx = ops.OpContext(c_in=8, c_out=c_out, h_in=8, w_in=8, stride=stride)
     inst = ops.build(kind, ctx, _rng())
     assert inst.weight_count() == ops.param_count(kind, ctx)
-    out = inst(Tensor(_rng().standard_normal((2, 8, 8, 8))))
+    out, macs = _forward_counting_macs(monkeypatch, inst, Tensor(_rng().standard_normal((2, 8, 8, 8))))
     assert out.shape == (2, c_out, ctx.h_out, ctx.w_out)
+    assert macs == ops.flop_count(kind, ctx)
+
+
+@pytest.mark.parametrize(
+    "kind,ctx",
+    [
+        (ops.MAX_POOL_3, _ctx(c_in=8, c_out=16)),  # a pool cannot change channels
+        (ops.IDENTITY, _ctx(c_in=16, c_out=8)),  # nor can identity at stride 1
+    ],
+)
+def test_counts_and_build_reject_the_same_placements(kind, ctx):
+    for fn in (ops.param_count, ops.flop_count, ops.layer_plan):
+        with pytest.raises(ShapeError):
+            fn(kind, ctx)
+    with pytest.raises(ShapeError):
+        ops.build(kind, ctx, _rng())
 
 
 def test_pool_flops_halve_per_axis_at_stride2():
