@@ -34,6 +34,7 @@ __all__ = [
     "normal_template",
     "connection_template",
     "edge_strength",
+    "scope_edges",
     "mixed_edge_forward",
     "cell_forward",
     "derive_discrete",
@@ -172,6 +173,27 @@ def edge_strength(theta: np.ndarray, zero_index: int | None) -> float:
     return float(w.max())
 
 
+def scope_edges(
+    theta: dict[tuple[str, tuple[int, int]], np.ndarray], templates: dict[str, CellTemplate]
+) -> dict[str, frozenset]:
+    """Edges discretization keeps, per kind: per intermediate node j, the
+    kept_per_node(j) incoming edges of largest non-zero strength, ties
+    preferring the smaller predecessor. The TopK cost scope counts the same
+    edges, and shared logits make them identical for every cell of a kind."""
+    kept: dict[str, frozenset] = {}
+    for kind, tpl in templates.items():
+        zi = tpl.zero_index
+        edges = set()
+        for j in tpl.intermediates:
+            ranked = sorted(
+                tpl.predecessors(j),
+                key=lambda i: (-edge_strength(theta[(kind, (i, j))], zi), i),
+            )
+            edges.update((i, j) for i in ranked[: tpl.kept_per_node(j)])
+        kept[kind] = frozenset(edges)
+    return kept
+
+
 def mixed_edge_forward(theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance]) -> Tensor:
     """Softmax-weighted sum of every candidate op applied to x."""
     if theta.shape != (len(edge_ops),):
@@ -299,32 +321,23 @@ def derive_discrete(
 ) -> DiscreteArch:
     """Discretize mixture logits into a concrete architecture.
 
-    Per intermediate node, keep the top-2 incoming edges ranked by the
-    strongest non-zero mixture weight; per kept edge take the argmax
-    non-zero op. Strength ties prefer the smaller predecessor index; op
-    ties prefer the smaller op index. The result is invariant to adding
-    a constant to any single edge's logits.
+    Per intermediate node, keep the edges ``scope_edges`` selects, sorted
+    by predecessor, and on each the argmax non-zero op (ties prefer the
+    smaller op index). The result is invariant to adding a constant to any
+    single edge's logits.
     """
     if isinstance(theta, ArchParams):
         theta = theta.numpy()
+    kept = scope_edges(theta, templates)
     choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = {}
     for kind, tpl in templates.items():
-        zi = tpl.zero_index
         nodes = {}
         for j in tpl.intermediates:
-            ranked = sorted(
-                tpl.predecessors(j),
-                key=lambda i: (-edge_strength(theta[(kind, (i, j))], zi), i),
-            )
-            kept = sorted(ranked[: tpl.kept_per_node(j)])
             picks = []
-            for i in kept:
-                vec = np.asarray(theta[(kind, (i, j))], dtype=np.float64)
-                order = np.argsort(-vec, kind="stable")
-                for op_idx in order:
-                    if tpl.op_names[op_idx] != ops.ZERO:
-                        picks.append((i, tpl.op_names[op_idx]))
-                        break
+            for i in sorted(i for i, jj in kept[kind] if jj == j):
+                order = np.argsort(-np.asarray(theta[(kind, (i, j))], dtype=np.float64), kind="stable")
+                op_idx = next(o for o in order if tpl.op_names[o] != ops.ZERO)
+                picks.append((i, tpl.op_names[op_idx]))
             nodes[j] = tuple(picks)
         choices[kind] = nodes
     arch = DiscreteArch(choices)

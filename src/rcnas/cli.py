@@ -294,44 +294,35 @@ def _build_box(cfg: dict) -> ConstraintBox:
 
 def _build_search_cfg(cfg: dict) -> SearchConfig:
     s = cfg["search"]
-    return SearchConfig(
-        epochs=s["epochs"],
-        batch_size=s["batch_size"],
-        e_u=s["e_u"],
-        warm_start_multiplier=s["warm_start_multiplier"],
-        seed=s["seed"],
-        val_fraction=s["val_fraction"],
-        w_lr=s["w_lr"],
-        w_momentum=s["w_momentum"],
-        w_weight_decay=s["w_weight_decay"],
-        theta_lr=s["theta_lr"],
-        theta_betas=tuple(s["theta_betas"]),
-        theta_init_scale=s["theta_init_scale"],
-    )
+    return SearchConfig(**{**s, "theta_betas": tuple(s["theta_betas"])})
 
 
 def _build_proj_cfg(cfg: dict) -> ProjectionConfig:
     p = cfg["projection"]
-    return ProjectionConfig(
-        lambda1=p["lambda1"],
-        lambda2=p["lambda2"],
-        gamma=p["gamma"],
-        max_iters=p["max_iters"],
-        lr=p["lr"],
-        betas=tuple(p["betas"]),
-        feas_tol=p["feas_tol"],
-    )
+    return ProjectionConfig(**{**p, "betas": tuple(p["betas"])})
 
 
 def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_cell(x) -> str:
+    """A CSV cell: None empty, a flag 0/1, an int or a string as is, any
+    other number as the repr of its float."""
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, (int, str)):
+        return str(x)
+    return repr(float(x))
+
+
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([_csv_cell(x) for x in row] for row in rows)
     path.write_text(buf.getvalue())
 
 
@@ -342,8 +333,8 @@ _COST_REPORT_COLUMNS = ["metric", "expected", "exact", "lower_bound", "upper_bou
 
 
 def _write_cost_report(path: Path, rows: list[dict]) -> None:
-    """One row per metric: its name, then each figure as its repr."""
-    _write_csv(path, _COST_REPORT_COLUMNS, [[r["metric"]] + [repr(r[h]) for h in _COST_REPORT_COLUMNS[1:]] for r in rows])
+    """One row per metric: its name, then each figure."""
+    _write_csv(path, _COST_REPORT_COLUMNS, [[r[h] for h in _COST_REPORT_COLUMNS] for r in rows])
 
 
 def _manifest_config(cfg: dict) -> dict:
@@ -380,9 +371,7 @@ def _cmd_search(args) -> int:
     (out_dir / "manifest.json").write_text(_canonical_json(manifest))
     (out_dir / "arch.json").write_text(result.arch.to_canonical_json())
     _write_csv(out_dir / "search_log.csv", LOG_COLUMNS, result.log_rows)
-
-    col = {name: i for i, name in enumerate(LOG_COLUMNS)}
-    proj_rows = [[r[col[c]] for c in _TRACE_COLUMNS.values()] for r in result.log_rows if r[col["phase"]] == "project"]
+    proj_rows = [[getattr(r, c) for c in _TRACE_COLUMNS.values()] for r in result.log_rows if r.phase == "project"]
     _write_csv(out_dir / "projection_trace.csv", list(_TRACE_COLUMNS), proj_rows)
 
     exact = exact_cost(result.arch, plan)
@@ -507,7 +496,7 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(prog="rcnas", description="Cost-constrained architecture search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -542,12 +531,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_dot, arch=True, needs_out=True)
     p_dot.set_defaults(func=_cmd_export_dot)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # the subcommand's parser, so the usage shown lists its own flags
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ConfigError, cells.ArchFormatError, SpaceTooLarge, ValueError) as exc:

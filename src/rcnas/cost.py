@@ -29,6 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import cells, ops
+from .cells import scope_edges
 from .network import FIXED_LINK_OP, Layout, NetworkPlan
 
 __all__ = [
@@ -270,25 +271,6 @@ class PackedCost:
         if mask is not None:
             g[~mask] = 0.0
         return g
-
-
-def scope_edges(theta: ThetaMap, templates: dict[str, cells.CellTemplate]) -> dict[str, frozenset]:
-    """Edges the TopK scope keeps: per intermediate node, the top-2 by
-    non-zero strength (ties prefer the smaller predecessor). Shared logits
-    make this identical for every cell of a kind."""
-    kept: dict[str, frozenset] = {}
-    for kind, tpl in templates.items():
-        zi = tpl.zero_index
-        edges = set()
-        for j in tpl.intermediates:
-            ranked = sorted(
-                tpl.predecessors(j),
-                key=lambda i: (-cells.edge_strength(theta[(kind, (i, j))], zi), i),
-            )
-            for i in ranked[: tpl.kept_per_node(j)]:
-                edges.add((i, j))
-        kept[kind] = frozenset(edges)
-    return kept
 
 
 def _resolve_scope(theta: ThetaMap, table: CostTable, scope: CostScope, frozen_scope) -> dict[str, frozenset] | None:

@@ -203,8 +203,7 @@ class BatchStream:
     """Deterministic epoch-shuffled minibatches.
 
     The permutation for epoch e is a pure function of (seed, e): it is drawn
-    from a child of SeedSequence(seed) spawned at index e.  The cursor
-    (epoch, position) is serializable so a run can resume mid-epoch.
+    from a child of SeedSequence(seed) spawned at index e.
     """
 
     def __init__(self, ds: Dataset, batch_size: int, seed: int, *, drop_last: bool = True):
@@ -240,16 +239,6 @@ class BatchStream:
         idx = self._order[self.pos : self.pos + self.batch_size]
         self.pos += self.batch_size
         return self.ds.images[idx], self.ds.labels[idx]
-
-    def state_dict(self) -> dict:
-        return {"seed": self.seed, "epoch": self.epoch, "pos": self.pos}
-
-    def load_state_dict(self, state: dict) -> None:
-        if int(state["seed"]) != self.seed:
-            raise ValueError("stream seed mismatch")
-        self.epoch = int(state["epoch"])
-        self.pos = int(state["pos"])
-        self._order = self._epoch_order(self.epoch)
 
 
 _CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes

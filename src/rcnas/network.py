@@ -122,6 +122,13 @@ class NetworkPlan:
         return out
 
     def layout(self) -> "Layout":
+        """The plan's layout, built at first call and shared by every caller
+        after it; callers must not change it."""
+        if "_layout" not in self.__dict__:
+            self.__dict__["_layout"] = self._build_layout()  # the frozen dataclass allows no setattr
+        return self.__dict__["_layout"]
+
+    def _build_layout(self) -> "Layout":
         reds = set(self.reductions)
         kinds = self.cell_kind_list()
         infos: list[CellInfo] = []

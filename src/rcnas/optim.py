@@ -1,8 +1,8 @@
 """Plain-array optimizers: momentum SGD for network weights, Adam for
 architecture logits and for the cost projection inner loop.
 
-Both operate on Tensors through the .grad buffer and keep their state in
-JSON-serializable lists so checkpoints stay auditable.
+Both operate on Tensors through the .grad buffer and keep their
+per-parameter state (velocity; first and second moments) as arrays.
 """
 from __future__ import annotations
 
@@ -36,15 +36,6 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-    def state_dict(self) -> dict:
-        return {"velocity": [v.tolist() for v in self._velocity]}
-
-    def load_state_dict(self, state: dict) -> None:
-        vel = state["velocity"]
-        if len(vel) != len(self.params):
-            raise ValueError("optimizer state does not match parameter count")
-        self._velocity = [np.asarray(v, dtype=np.float64).reshape(p.data.shape) for v, p in zip(vel, self.params)]
 
 
 class Adam:
@@ -87,17 +78,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self._t,
-            "m": [m.tolist() for m in self._m],
-            "v": [v.tolist() for v in self._v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
-            raise ValueError("optimizer state does not match parameter count")
-        self._t = int(state["t"])
-        self._m = [np.asarray(m, dtype=np.float64).reshape(p.data.shape) for m, p in zip(state["m"], self.params)]
-        self._v = [np.asarray(v, dtype=np.float64).reshape(p.data.shape) for v, p in zip(state["v"], self.params)]

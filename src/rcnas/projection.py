@@ -57,7 +57,7 @@ class ProjectionConfig:
 def decay_lambda(cfg: ProjectionConfig, t: int) -> tuple[float, float]:
     """Penalty weights for projection round t: lambda * gamma^t."""
     f = cfg.gamma**t
-    return cfg.lambda1 * f, cfg.lambda2 * f
+    return float(cfg.lambda1 * f), float(cfg.lambda2 * f)
 
 
 def _hinge_sums(phi: np.ndarray, box: ConstraintBox) -> tuple[float, float]:

@@ -16,15 +16,14 @@ procedure independently so the equivalence is checkable.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import cells
-from .autodiff import Tape, Tensor
+from .autodiff import Tape
 from .cells import DiscreteArch
 from .cost import ConstraintBox, CostScope, build_cost_table, exact_cost, expected_cost
 from .data import BatchStream, Dataset, SplitSpec, normalization_stats, normalize, split_dataset
@@ -41,6 +40,7 @@ __all__ = [
     "evaluate",
     "retrain_eval",
     "RetrainResult",
+    "LogRow",
     "LOG_COLUMNS",
 ]
 
@@ -77,34 +77,35 @@ class SearchConfig:
             raise ValueError("warm_start_multiplier must be at least 1")
 
 
+class LogRow(NamedTuple):
+    """One search_log.csv row. A cell that does not apply holds None: a
+    search step has no proj_iters, a projection round no losses."""
+
+    step: int
+    round: int
+    phase: str  # "search" or "project"
+    train_loss: float | None
+    val_loss: float | None
+    phi_params: float | None
+    phi_flops: float | None
+    lambda1: float
+    lambda2: float
+    feasible: bool
+    proj_iters: int | None
+
+
+LOG_COLUMNS = list(LogRow._fields)
+
+
 @dataclass
 class SearchResult:
     arch: DiscreteArch
     theta: dict
     digests: list[str]
-    log_rows: list[list[str]]
+    log_rows: list[LogRow]
     phi: np.ndarray
     feasible: bool
     report: dict
-
-
-LOG_COLUMNS = [
-    "step",
-    "round",
-    "phase",
-    "train_loss",
-    "val_loss",
-    "phi_params",
-    "phi_flops",
-    "lambda1",
-    "lambda2",
-    "feasible",
-    "proj_iters",
-]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _derive_seeds(seed: int) -> tuple[int, int, int, int]:
@@ -187,7 +188,7 @@ def run_search(
         raise ValueError("no training steps: dataset too small for the batch size")
 
     digests: list[str] = []
-    rows: list[list[str]] = []
+    rows: list[LogRow] = []
     step = 0
     round_idx = 0
     while step < total_steps:
@@ -199,39 +200,11 @@ def run_search(
             step += 1
             digests.append(net.arch.digest())
             phi = expected_cost(net.arch.numpy(), table, scope)
-            rows.append(
-                [
-                    str(step),
-                    str(round_idx),
-                    "search",
-                    _fmt(train_loss),
-                    _fmt(val_loss),
-                    _fmt(phi[0]),
-                    _fmt(phi[1]),
-                    _fmt(lam1),
-                    _fmt(lam2),
-                    str(int(box.feasible(phi))),
-                    "",
-                ]
-            )
+            rows.append(LogRow(step, round_idx, "search", train_loss, val_loss, *phi, lam1, lam2, box.feasible(phi), None))
 
         res = project(net.arch.numpy(), box, table, scope, proj, lambda1=lam1, lambda2=lam2)
         net.arch.load(res.theta_p)
-        rows.append(
-            [
-                str(step),
-                str(round_idx),
-                "project",
-                "",
-                "",
-                _fmt(res.phi[0]),
-                _fmt(res.phi[1]),
-                _fmt(lam1),
-                _fmt(lam2),
-                str(int(res.feasible)),
-                str(res.iterations),
-            ]
-        )
+        rows.append(LogRow(step, round_idx, "project", None, None, *res.phi, lam1, lam2, res.feasible, res.iterations))
         round_idx += 1
 
     theta = net.arch.numpy()
@@ -262,7 +235,7 @@ def darts_reference_search(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig = S
         raise ValueError("no training steps: dataset too small for the batch size")
 
     digests: list[str] = []
-    rows: list[list[str]] = []
+    rows: list[LogRow] = []
     for step in range(total_steps):
         # weight update on the training half
         net.set_theta_trainable(False)
@@ -288,21 +261,7 @@ def darts_reference_search(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig = S
         net.set_weights_trainable(True)
 
         digests.append(net.arch.digest())
-        rows.append(
-            [
-                str(step + 1),
-                "0",
-                "search",
-                _fmt(float(loss.data)),
-                _fmt(float(vloss.data)),
-                "",
-                "",
-                "0.0",
-                "0.0",
-                "1",
-                "",
-            ]
-        )
+        rows.append(LogRow(step + 1, 0, "search", float(loss.data), float(vloss.data), None, None, 0.0, 0.0, True, None))
 
     theta = net.arch.numpy()
     phi = expected_cost(theta, table, CostScope.TOP_K)
@@ -392,44 +351,3 @@ def retrain_eval(
     cost_vec = exact_cost(arch, plan)
     return RetrainResult(acc, eval_loss, float(cost_vec[0]), float(cost_vec[1]), seed, history)
 
-
-def save_checkpoint(path: str | Path, net: Supernet, sgd: SGD, adam: Adam, train_stream: BatchStream, val_stream: BatchStream, step: int, round_idx: int) -> None:
-    """Serialize the full search state to JSON (weights included)."""
-    state = {
-        "step": step,
-        "round": round_idx,
-        "theta": {f"{k}|{e[0]},{e[1]}": t.data.tolist() for (k, e), t in _theta_items(net)},
-        "weights": {p.name: p.data.tolist() for p in net.weight_params()},
-        "sgd": sgd.state_dict(),
-        "adam": adam.state_dict(),
-        "train_stream": train_stream.state_dict(),
-        "val_stream": val_stream.state_dict(),
-    }
-    Path(path).write_text(json.dumps(state))
-
-
-def load_checkpoint(path: str | Path, net: Supernet, sgd: SGD, adam: Adam, train_stream: BatchStream, val_stream: BatchStream) -> tuple[int, int]:
-    """Restore state written by save_checkpoint; returns (step, round)."""
-    state = json.loads(Path(path).read_text())
-    theta = {}
-    for key, vals in state["theta"].items():
-        kind, edge = key.split("|")
-        a, b = edge.split(",")
-        theta[(kind, (int(a), int(b)))] = np.asarray(vals, dtype=np.float64)
-    net.arch.load(theta)
-    by_name = {p.name: p for p in net.weight_params()}
-    if set(by_name) != set(state["weights"]):
-        raise ValueError("checkpoint weights do not match the network")
-    for name, vals in state["weights"].items():
-        p = by_name[name]
-        p.data = np.asarray(vals, dtype=np.float64).reshape(p.data.shape)
-    sgd.load_state_dict(state["sgd"])
-    adam.load_state_dict(state["adam"])
-    train_stream.load_state_dict(state["train_stream"])
-    val_stream.load_state_dict(state["val_stream"])
-    return int(state["step"]), int(state["round"])
-
-
-def _theta_items(net: Supernet):
-    for kind, edge, t in net.arch.items():
-        yield (kind, edge), t

@@ -1,13 +1,16 @@
 """Command-line interface: artifacts, manifest reruns, exit codes."""
 
+import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from rcnas.cells import DiscreteArch
-from rcnas.cli import main
-from rcnas.search import LOG_COLUMNS
+from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, main
+from rcnas.projection import ProjectionConfig
+from rcnas.search import LOG_COLUMNS, SearchConfig
 
 PRIMARY_ARTIFACTS = [
     "manifest.json",
@@ -69,6 +72,33 @@ def test_search_writes_expected_artifacts(search_run):
     trace_lines = (out / "projection_trace.csv").read_text().splitlines()
     assert trace_lines[0] == "round,lambda1,lambda2,iterations,feasible,phi_params,phi_flops"
     assert len(trace_lines) >= 2
+
+
+def test_search_log_cells_have_one_format(search_run):
+    _, out = search_run
+    with (out / "search_log.csv").open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows and list(rows[0]) == LOG_COLUMNS
+    for row in rows:
+        assert row["phase"] in ("search", "project")
+        assert row["feasible"] in ("0", "1")
+        assert row["step"] == str(int(row["step"])) and row["round"] == str(int(row["round"]))
+        if row["phase"] == "search":
+            assert row["proj_iters"] == ""
+        else:
+            assert row["train_loss"] == row["val_loss"] == ""
+            assert row["proj_iters"] == str(int(row["proj_iters"]))
+        floats = ["train_loss", "val_loss", "phi_params", "phi_flops", "lambda1", "lambda2"]
+        for name in floats:
+            if row[name]:
+                assert row[name] == repr(float(row[name])), name
+
+
+@pytest.mark.parametrize("section,cls", [("search", SearchConfig), ("projection", ProjectionConfig)])
+def test_config_sections_hold_exactly_the_dataclass_fields(section, cls):
+    names = {f.name for f in dataclasses.fields(cls)}
+    assert set(CONFIG_SCHEMA["properties"][section]["properties"]) == names
+    assert set(DEFAULT_CONFIG[section]) == names
 
 
 def test_manifest_rerun_is_byte_identical(search_run, tmp_path):
@@ -281,4 +311,5 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag}" in err
+    assert f"usage: rcnas {command}" in err
     assert "Traceback" not in err

@@ -142,25 +142,6 @@ def test_stream_drop_last_and_batch_count():
         BatchStream(ds, batch_size=50, seed=0)
 
 
-def test_stream_resumes_mid_epoch_from_state():
-    ds = make_blobs(40, (8, 8), seed=0)
-    a = BatchStream(ds, batch_size=8, seed=5)
-    for _ in range(7):
-        a.next_batch()
-    state = a.state_dict()
-
-    b = BatchStream(ds, batch_size=8, seed=5)
-    b.load_state_dict(state)
-    for _ in range(6):
-        xa, ya = a.next_batch()
-        xb, yb = b.next_batch()
-        np.testing.assert_array_equal(xa, xb)
-        np.testing.assert_array_equal(ya, yb)
-
-    with pytest.raises(ValueError):
-        BatchStream(ds, batch_size=8, seed=6).load_state_dict(state)
-
-
 def test_cifar_zero_record_is_black_label_zero(tmp_path):
     p = tmp_path / "batch.bin"
     p.write_bytes(bytes(3073))

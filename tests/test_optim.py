@@ -79,56 +79,14 @@ def test_zero_lr_changes_nothing_but_counters():
     p.grad = np.array([7.0])
     opt.step()
     assert p.data[0] == 1.5
-    assert opt.state_dict()["t"] == 1
+    assert opt._t == 1
 
     q = _param(1.5)
     sgd = SGD([q], lr=0.0, momentum=0.9, weight_decay=0.0)
     q.grad = np.array([7.0])
     sgd.step()
     assert q.data[0] == 1.5
-    assert sgd.state_dict()["velocity"] == [[7.0]]
-
-
-def test_sgd_state_round_trip():
-    p = _param(1.0)
-    a = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
-    p.grad = np.array([0.5])
-    a.step()
-    state = a.state_dict()
-
-    q = _param(float(p.data[0]))
-    b = SGD([q], lr=0.1, momentum=0.9, weight_decay=0.0)
-    b.load_state_dict(state)
-    p.grad = np.array([0.25])
-    q.grad = np.array([0.25])
-    a.step()
-    b.step()
-    np.testing.assert_array_equal(p.data, q.data)
-
-    with pytest.raises(ValueError):
-        SGD([_param(), _param()], lr=0.1).load_state_dict(state)
-
-
-def test_adam_state_round_trip():
-    p = _param(1.0)
-    a = Adam([p], lr=0.01)
-    for g in (0.5, -0.3):
-        p.grad = np.array([g])
-        a.step()
-    state = a.state_dict()
-
-    q = _param(float(p.data[0]))
-    b = Adam([q], lr=0.01)
-    b.load_state_dict(state)
-    assert b._t == 2
-    p.grad = np.array([0.1])
-    q.grad = np.array([0.1])
-    a.step()
-    b.step()
-    np.testing.assert_array_equal(p.data, q.data)
-
-    with pytest.raises(ValueError):
-        Adam([_param(), _param()]).load_state_dict(state)
+    assert [v.tolist() for v in sgd._velocity] == [[7.0]]
 
 
 def test_zero_grad_clears_buffers():
@@ -136,14 +94,3 @@ def test_zero_grad_clears_buffers():
     p.grad = np.array([1.0])
     Adam([p]).zero_grad()
     assert p.grad is None
-
-
-def test_state_is_json_serializable():
-    import json
-
-    p = _param(1.0)
-    opt = Adam([p])
-    p.grad = np.array([0.5])
-    opt.step()
-    text = json.dumps(opt.state_dict())
-    assert "0.5" in text or "m" in text

@@ -1,4 +1,4 @@
-"""Bilevel search loop, reference loop degeneration, retraining, checkpoints."""
+"""Bilevel search loop, reference loop degeneration, retraining."""
 
 import numpy as np
 import pytest
@@ -17,11 +17,9 @@ from rcnas.search import (
     SearchConfig,
     darts_reference_search,
     evaluate,
-    load_checkpoint,
     phase1_step,
     retrain_eval,
     run_search,
-    save_checkpoint,
 )
 
 from reference_net import ReferenceConvNet
@@ -58,13 +56,13 @@ def test_run_search_toy_trace():
     # 32 train rows / batch 16 = 2 steps per epoch, 2 epochs
     assert res.report["steps"] == 4
     assert len(res.digests) == 4
-    search_rows = [r for r in res.log_rows if r[2] == "search"]
-    project_rows = [r for r in res.log_rows if r[2] == "project"]
+    search_rows = [r for r in res.log_rows if r.phase == "search"]
+    project_rows = [r for r in res.log_rows if r.phase == "project"]
     assert len(search_rows) == 4 and len(project_rows) == 1
     for row in res.log_rows:
         assert len(row) == len(LOG_COLUMNS)
-    assert project_rows[0][10] != ""  # projection iteration count recorded
-    assert all(r[10] == "" for r in search_rows)
+    assert project_rows[0].proj_iters is not None  # projection iteration count recorded
+    assert all(r.proj_iters is None for r in search_rows)
     res.arch.validate(_plan().templates())
     assert res.feasible and res.report["feasible"]
     np.testing.assert_allclose(res.phi, res.report["phi"])
@@ -79,9 +77,9 @@ def test_warm_start_stretches_first_round():
     )
     # 4 total steps: round 0 takes 2 (warm start), rounds 1-2 take 1 each
     assert res.report["rounds"] == 3
-    project_steps = [int(r[0]) for r in res.log_rows if r[2] == "project"]
+    project_steps = [r.step for r in res.log_rows if r.phase == "project"]
     assert project_steps == [2, 3, 4]
-    lam1 = [float(r[7]) for r in res.log_rows if r[2] == "project"]
+    lam1 = [r.lambda1 for r in res.log_rows if r.phase == "project"]
     g = _proj().gamma
     np.testing.assert_allclose(lam1, [1.0, g, g * g], rtol=1e-12)
 
@@ -92,7 +90,7 @@ def test_unreachable_box_reports_infeasible():
     res = run_search(_plan(), ds, box, _cfg(), _proj(max_iters=5))
     assert not res.feasible
     assert res.report["feasible"] is False
-    assert all(r[9] == "0" for r in res.log_rows)
+    assert all(r.feasible is False for r in res.log_rows)
 
 
 def test_degenerates_to_reference_loop_without_constraints():
@@ -135,45 +133,6 @@ def test_phase1_step_updates_both_variable_sets():
     assert not np.array_equal(net.weight_params()[0].data, w_before)
     # weights are left trainable for the next round
     assert all(p.requires_grad for p in net.weight_params())
-
-
-def test_checkpoint_resume_is_bit_identical(tmp_path):
-    ds = make_blobs(64, (8, 8), seed=5)
-    cfg = _cfg(seed=6)
-    net_a, tr_a, va_a, sgd_a, adam_a = search_mod._setup(_plan(), ds, cfg)
-    for step in range(3):
-        phase1_step(net_a, sgd_a, adam_a, tr_a, va_a, step)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, net_a, sgd_a, adam_a, tr_a, va_a, step=3, round_idx=1)
-
-    # keep training the original
-    for step in range(3, 6):
-        phase1_step(net_a, sgd_a, adam_a, tr_a, va_a, step)
-
-    # fresh state, restore, train the same 3 steps
-    net_b, tr_b, va_b, sgd_b, adam_b = search_mod._setup(_plan(), ds, cfg)
-    step0, round0 = load_checkpoint(path, net_b, sgd_b, adam_b, tr_b, va_b)
-    assert (step0, round0) == (3, 1)
-    for step in range(3, 6):
-        phase1_step(net_b, sgd_b, adam_b, tr_b, va_b, step)
-
-    assert net_a.arch.digest() == net_b.arch.digest()
-    for pa, pb in zip(net_a.weight_params(), net_b.weight_params()):
-        np.testing.assert_array_equal(pa.data, pb.data)
-
-
-def test_checkpoint_rejects_mismatched_network(tmp_path):
-    ds = make_blobs(64, (8, 8), seed=5)
-    net, tr, va, sgd, adam = search_mod._setup(_plan(), ds, _cfg())
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, net, sgd, adam, tr, va, step=1, round_idx=0)
-
-    other_plan = NetworkPlan(
-        n_cells=3, init_channels=4, n_classes=3, image_hw=(8, 8), n_nodes=4, k_levels=1
-    )
-    net2, tr2, va2, sgd2, adam2 = search_mod._setup(other_plan, ds, _cfg())
-    with pytest.raises(ValueError):
-        load_checkpoint(path, net2, sgd2, adam2, tr2, va2)
 
 
 def test_evaluate_is_deterministic():
