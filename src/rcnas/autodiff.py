@@ -2,10 +2,18 @@
 
 The engine is deliberately small: a handful of primitives sufficient for
 convolutional supernets (convolution with stride/dilation/groups, batch
-norm, pooling, concat, softmax, cross-entropy) plus a tape that records
-primitive applications in execution order. Backward replays the tape in
-exact reverse order, accumulating gradients additively across fan-out, and
-releases each entry as soon as it has run.
+norm, conv followed by batch norm as one primitive, pooling, concat,
+softmax, cross-entropy) plus a tape that records primitive applications in
+execution order. Backward replays the tape in exact reverse order,
+accumulating gradients additively across fan-out, and releases each entry
+as soon as it has run.
+
+What forward leaves on the tape is the memory peak of a training step, so
+each entry keeps only what its rule reads, plus its input and output
+tensors: ``relu`` its output (as the mask), ``conv2d`` its unpadded input
+and weight (no padded copy, row stack or patches), ``batch_norm`` ``xhat``
+and the inverse deviations, and ``conv_bn`` the conv input, ``xhat`` and
+the inverse deviations but never the conv output between them.
 
 Everything is float64 and deterministic: the same inputs produce
 bit-identical outputs and gradients on every run.
@@ -35,6 +43,7 @@ __all__ = [
     "relu",
     "conv2d",
     "batch_norm",
+    "conv_bn",
     "max_pool2d",
     "avg_pool2d",
     "global_avg_pool",
@@ -354,7 +363,7 @@ def conv2d(
     OH = (Hp - KH) // stride + 1
     OW = (Wp - KW) // stride + 1
 
-    xp = _padded(x.data, ph, pw)
+    # the padded input is freed once its row stack or patch matrix is built
     wd = weight.data
     depthwise = groups == C and Cg == 1 and Cout == C
     if depthwise:
@@ -365,12 +374,12 @@ def conv2d(
             m[:, band_idx[0], band_idx[1]] = np.repeat(wd.reshape(C, kh * kw), OW, axis=1)
             return m
 
-        out_data = np.matmul(_row_stack(xp, kh, OH, stride, dilation), band())
+        out_data = np.matmul(_row_stack(_padded(x.data, ph, pw), kh, OH, stride, dilation), band())
         out_data = out_data.reshape(C, B, OH, OW).transpose(1, 0, 2, 3)
     else:
         Og = Cout // groups
         wm = wd.reshape(groups, Og, Cg * kh * kw)
-        out_data = np.matmul(wm, _im2col(xp, kh, kw, OH, OW, stride, dilation, groups))
+        out_data = np.matmul(wm, _im2col(_padded(x.data, ph, pw), kh, kw, OH, OW, stride, dilation, groups))
         out_data = out_data.reshape(B, Cout, OH, OW)
     out = Tensor(out_data, requires_grad=_needs_grad(x, weight))
 
@@ -414,36 +423,97 @@ def conv2d(
     return _record(out, (x, weight), bwd_depthwise if depthwise else bwd_grouped)
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Batch normalization with per-batch statistics (no running averages).
-
-    Statistics are taken per channel over the batch and spatial axes.
-    """
-    if x.ndim != 4:
-        raise ShapeError("batch_norm", f"input must be 4-D, got {x.shape}")
-    B, C, H, W = x.shape
-    if gamma.shape != (C,) or beta.shape != (C,):
-        raise ShapeError("batch_norm", f"gamma/beta must have shape ({C},)")
-    mu = x.data.mean(axis=(0, 2, 3), keepdims=True)
-    xc = x.data - mu
+def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+    """Per-channel batch statistics of ``xd`` over the batch and spatial
+    axes: (output, xhat, inv, gam), the last three being all backward reads."""
+    mu = xd.mean(axis=(0, 2, 3), keepdims=True)
+    xc = xd - mu
     # the sum of squares np.var takes over the same mu, without a second mean
     var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    gam = gamma.data[None, :, None, None]
-    out = Tensor(gam * xhat + beta.data[None, :, None, None], requires_grad=_needs_grad(x, gamma, beta))
+    # in place here and for the output: two fewer input-sized temporaries,
+    # and the same bits
+    xhat = xc
+    xhat *= inv
+    gam = gamma[None, :, None, None]
+    out = gam * xhat
+    out += beta[None, :, None, None]
+    return out, xhat, inv, gam
+
+
+def _bn_backward(g: np.ndarray, xhat: np.ndarray, inv: np.ndarray, gam: np.ndarray, need_x: bool, need_gamma: bool, need_beta: bool):
+    """(dx, dgamma, dbeta) of ``_bn_forward`` for output gradient ``g``;
+    ``None`` where not needed."""
+    dgamma = np.einsum("bchw,bchw->c", g, xhat) if need_gamma else None
+    dbeta = g.sum(axis=(0, 2, 3)) if need_beta else None
+    dx = None
+    if need_x:
+        gm = g.mean(axis=(0, 2, 3), keepdims=True)
+        gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
+        dx = gam * inv * (g - gm - xhat * gxm)
+    return dx, dgamma, dbeta
+
+
+def _check_bn(name: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+        raise ShapeError(name, f"gamma/beta must have shape ({x.shape[1]},)")
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Batch normalization with per-batch statistics (no running averages).
+
+    Statistics are taken per channel over the batch and spatial axes. The
+    tape entry keeps ``xhat``, the inverse deviations and ``gamma``. It
+    also holds ``x`` as an input, which no rule reads; ``conv_bn`` keeps
+    no such array after a conv.
+    """
+    if x.ndim != 4:
+        raise ShapeError("batch_norm", f"input must be 4-D, got {x.shape}")
+    _check_bn("batch_norm", x, gamma, beta)
+    out_data, xhat, inv, gam = _bn_forward(x.data, gamma.data, beta.data, eps)
+    out = Tensor(out_data, requires_grad=_needs_grad(x, gamma, beta))
 
     def bwd(g):
-        dgamma = np.einsum("bchw,bchw->c", g, xhat) if gamma.requires_grad else None
-        dbeta = g.sum(axis=(0, 2, 3)) if beta.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            gm = g.mean(axis=(0, 2, 3), keepdims=True)
-            gxm = (g * xhat).mean(axis=(0, 2, 3), keepdims=True)
-            dx = gam * inv * (g - gm - xhat * gxm)
-        return (dx, dgamma, dbeta)
+        return _bn_backward(g, xhat, inv, gam, x.requires_grad, gamma.requires_grad, beta.requires_grad)
 
     return _record(out, (x, gamma, beta), bwd)
+
+
+def conv_bn(
+    x: Tensor,
+    weight: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    stride: int = 1,
+    padding: int | tuple[int, int] = 0,
+    dilation: int = 1,
+    groups: int = 1,
+    eps: float = 1e-5,
+) -> Tensor:
+    """``batch_norm(conv2d(x, weight, ...), gamma, beta)`` as one tape entry.
+
+    Output and gradients are bit-identical to the two-primitive chain. The
+    entry keeps the conv input (through the conv's own rule, which pads
+    and rebuilds from it) plus ``xhat``, the inverse deviations and
+    ``gamma``; it never keeps the conv output, which no rule reads. The
+    conv runs through this module's ``conv2d`` binding under a tape of its
+    own, whose one entry supplies the conv's backward rule.
+    """
+    with Tape() as inner:
+        y = conv2d(x, weight, stride, padding, dilation, groups)
+    _check_bn("conv_bn", y, gamma, beta)
+    out_data, xhat, inv, gam = _bn_forward(y.data, gamma.data, beta.data, eps)
+    need_y = y.requires_grad
+    conv_bwd = inner._entries[0][2] if need_y else None
+    del y, inner
+    out = Tensor(out_data, requires_grad=_needs_grad(x, weight, gamma, beta))
+
+    def bwd(g):
+        dy, dgamma, dbeta = _bn_backward(g, xhat, inv, gam, need_y, gamma.requires_grad, beta.requires_grad)
+        dx, dw = conv_bwd(dy) if need_y else (None, None)
+        return (dx, dw, dgamma, dbeta)
+
+    return _record(out, (x, weight, gamma, beta), bwd)
 
 
 def _window_taps(a: np.ndarray, kernel: int, OH: int, OW: int, stride: int) -> list[np.ndarray]:
@@ -730,6 +800,7 @@ def forward_primitive(kind: str, inputs: Sequence[Tensor], attrs: dict | None = 
 register_primitive("relu", lambda ins, at: relu(ins[0]))
 register_primitive("conv2d", lambda ins, at: conv2d(ins[0], ins[1], **at))
 register_primitive("batch_norm", lambda ins, at: batch_norm(ins[0], ins[1], ins[2], **at))
+register_primitive("conv_bn", lambda ins, at: conv_bn(ins[0], ins[1], ins[2], ins[3], **at))
 register_primitive("max_pool2d", lambda ins, at: max_pool2d(ins[0], **at))
 register_primitive("avg_pool2d", lambda ins, at: avg_pool2d(ins[0], **at))
 register_primitive("global_avg_pool", lambda ins, at: global_avg_pool(ins[0]))

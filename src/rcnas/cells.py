@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import ops
-from .autodiff import Tensor, add, concat, softmax, weighted_sum
+from .autodiff import Tensor, add, concat, relu, softmax, weighted_sum
 
 __all__ = [
     "CellTemplate",
@@ -35,7 +36,9 @@ __all__ = [
     "connection_template",
     "edge_strength",
     "scope_edges",
+    "MixedEdge",
     "mixed_edge_forward",
+    "SharedRelu",
     "cell_forward",
     "derive_discrete",
     "export_dot",
@@ -194,21 +197,72 @@ def scope_edges(
     return kept
 
 
-def mixed_edge_forward(theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance]) -> Tensor:
-    """Softmax-weighted sum of every candidate op applied to x."""
+class MixedEdge:
+    """One searched edge: the softmax mixture, under logits ``theta``, of
+    its candidate ops. It reads a shared ReLU if any of its ops does."""
+
+    __slots__ = ("theta", "ops", "reads_relu")
+
+    def __init__(self, theta: Tensor, edge_ops: list[ops.OpInstance]):
+        self.theta = theta
+        self.ops = edge_ops
+        self.reads_relu = any(op.reads_relu for op in edge_ops)
+
+    def __call__(self, x: Tensor, relu_x: Tensor | None = None) -> Tensor:
+        # looked up at call time, so a wrapper installed on the module sees every call
+        return mixed_edge_forward(self.theta, x, self.ops, relu_x)
+
+
+def mixed_edge_forward(theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance], relu_x: Tensor | None = None) -> Tensor:
+    """Softmax-weighted sum of every candidate op applied to x; ops that
+    start with a ReLU read ``relu_x`` (= relu(x)) instead when it is given."""
     if theta.shape != (len(edge_ops),):
         raise ValueError(f"theta shape {theta.shape} does not match {len(edge_ops)} ops")
     weights = softmax(theta)
-    return weighted_sum(weights, [op(x) for op in edge_ops])
+    return weighted_sum(weights, [op(x, relu_x) for op in edge_ops])
+
+
+class SharedRelu:
+    """Runs the edges of one cell so that those reading the same tensor
+    share one ReLU of it.
+
+    ``keys`` names, with repeats, the tensor each edge will read. ``run``
+    calls ``edge_fn(x)``, or ``edge_fn(x, relu(x))`` for an edge whose
+    ``reads_relu`` attribute is true (an ``ops.OpInstance`` or
+    ``MixedEdge`` with a ReLU-led op). The ReLU of a key is taken at its
+    first such edge and dropped after the key's last edge, so a forward
+    without a tape holds no ReLU longer than its readers need it.
+    """
+
+    __slots__ = ("_pending", "_relus")
+
+    def __init__(self, keys: Iterable):
+        self._pending = Counter(keys)
+        self._relus: dict = {}
+
+    def run(self, edge_fn: Callable[..., Tensor], x: Tensor, key) -> Tensor:
+        if getattr(edge_fn, "reads_relu", False):
+            if key not in self._relus:
+                self._relus[key] = relu(x)
+            out = edge_fn(x, self._relus[key])
+        else:
+            out = edge_fn(x)
+        self._pending[key] -= 1
+        if not self._pending[key]:
+            self._relus.pop(key, None)
+        return out
 
 
 def cell_forward(
     template: CellTemplate,
     inputs: list[Tensor],
-    node_edges: dict[int, list[tuple[int, Callable[[Tensor], Tensor]]]],
+    node_edges: dict[int, list[tuple[int, Callable[..., Tensor]]]],
 ) -> Tensor:
     """Run one cell: each intermediate node j is the sum, in list order, of
-    ``edge_fn(state_i)`` over its ``(i, edge_fn)`` pairs in ``node_edges[j]``.
+    the outputs of its ``(i, edge_fn)`` pairs in ``node_edges[j]`` on
+    state i. The edges run under one ``SharedRelu``, so ``relu(state_i)``
+    is taken at most once, lives only within this call, and is dropped
+    after state i's last edge.
 
     Returns the channel-concat of intermediates (or the single
     intermediate for non-concat templates).
@@ -216,10 +270,11 @@ def cell_forward(
     if len(inputs) != template.n_inputs:
         raise ValueError(f"template expects {template.n_inputs} inputs, got {len(inputs)}")
     states = list(inputs)
+    shared = SharedRelu(i for j in template.intermediates for i, _ in node_edges[j])
     for j in template.intermediates:
         acc = None
         for i, edge_fn in node_edges[j]:
-            term = edge_fn(states[i])
+            term = shared.run(edge_fn, states[i], i)
             acc = term if acc is None else add(acc, term)
         states.append(acc)
     inter = states[template.n_inputs :]

@@ -220,7 +220,7 @@ class Layout:
                 yield Slot(info.index, prefix, info.kind, edge, info.edge_context(tpl, edge))
 
 
-EdgeFn = Callable[[Tensor], Tensor]
+EdgeFn = Callable[..., Tensor]  # an OpInstance or a cells.MixedEdge
 
 
 class _NetworkBase:
@@ -275,12 +275,15 @@ class _NetworkBase:
 
     def _forward(self, x, tap: int | None) -> Tensor:
         """Stem, then per cell its links and ``cells.cell_forward``, then
-        the classifier; ``tap`` returns cell ``tap``'s output instead."""
+        the classifier; ``tap`` returns cell ``tap``'s output instead. A
+        cell's links run under one ``cells.SharedRelu``, as its edges do, so
+        two links from one source share its ReLU; no ReLU outlives its cell."""
         xt = x if isinstance(x, Tensor) else Tensor(x)
         stem_out = batch_norm(conv2d(xt, self.stem_w, stride=1, padding=1), self.stem_gamma, self.stem_beta)
         outs: list[Tensor] = []
         for info, links, nodes in zip(self.layout.cells, self._links, self._nodes):
-            ins = [fn(stem_out if src == STEM else outs[src]) for src, fn in links]
+            shared = cells.SharedRelu(src for src, _ in links)
+            ins = [shared.run(fn, stem_out if src == STEM else outs[src], src) for src, fn in links]
             out = cells.cell_forward(self.templates[info.kind], ins, nodes)
             outs.append(out)
             if tap is not None and info.index == tap:
@@ -321,9 +324,7 @@ class Supernet(_NetworkBase):
 
     def _slot_op(self, slot: Slot) -> EdgeFn:
         theta = self.arch.vector(slot.kind, slot.edge)
-        insts = [self._build_op(op_name, slot) for op_name in self.templates[slot.kind].op_names]
-        # looked up at call time, so a wrapper installed on the module sees every call
-        return lambda x: cells.mixed_edge_forward(theta, x, insts)
+        return cells.MixedEdge(theta, [self._build_op(op_name, slot) for op_name in self.templates[slot.kind].op_names])
 
     # Each class defines its own forward (and __init__) so that a tracer
     # wrapping a class's own methods can tell the two networks apart.

@@ -19,6 +19,14 @@ placement, and counts() and build() are each one loop over it, so they
 accept the same placements and the formulas match the built weights by
 construction.
 
+build() runs a ("conv", ...) step directly followed by ("bn", c) as one
+autodiff.conv_bn step, whose tape entry keeps no conv output; the plan,
+the counts, the parameter names and the weight-draw order are those of the
+two steps. An op whose plan starts with ("relu",) has ``reads_relu`` set:
+a caller that already holds the ReLU of the input (cells.cell_forward
+shares one per state within a cell) passes it in, and the op starts from
+it instead of taking its own.
+
 Cost conventions (normative, mirrored in the README):
   - conv k x k with groups g: params k^2 * c_in * c_out / g (no bias),
     FLOPs (multiply-accumulates) k^2 * (c_in/g) * c_out * h_out * w_out
@@ -45,6 +53,7 @@ from .autodiff import (
     channel_shuffle,
     concat,
     conv2d,
+    conv_bn,
     crop_offset,
     max_pool2d,
     relu,
@@ -132,24 +141,32 @@ class OpContext:
 
 class OpInstance:
     """A built operation: parameters plus its plan's steps as forwards over
-    batched tensors, run in order."""
+    batched tensors, run in order. ``reads_relu`` says the plan starts
+    with a ReLU of the input."""
 
-    __slots__ = ("kind", "context", "parameters", "steps")
+    __slots__ = ("kind", "context", "parameters", "steps", "reads_relu")
 
-    def __init__(self, kind: str, context: OpContext, parameters: list[Parameter], steps: list[Callable[[Tensor], Tensor]]):
+    def __init__(self, kind: str, context: OpContext, parameters: list[Parameter], steps: list[Callable[[Tensor], Tensor]], reads_relu: bool):
         self.kind = kind
         self.context = context
         self.parameters = parameters
         self.steps = steps
+        self.reads_relu = reads_relu
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, relu_x: Tensor | None = None) -> Tensor:
+        """Run the op on ``x``. A caller that already holds ``relu(x)``
+        passes it as ``relu_x``; an op that starts with a ReLU then reads it
+        instead of taking its own, and every other op ignores it."""
         ctx = self.context
         if x.ndim != 4 or x.shape[1:] != (ctx.c_in, ctx.h_in, ctx.w_in):
             raise ShapeError(
                 self.kind,
                 f"expected input (B, {ctx.c_in}, {ctx.h_in}, {ctx.w_in}), got {x.shape}",
             )
-        for step in self.steps:
+        steps = self.steps
+        if relu_x is not None and self.reads_relu:
+            x, steps = relu_x, steps[1:]
+        for step in steps:
             x = step(x)
         return x
 
@@ -178,7 +195,7 @@ def _sep_conv(k: int, dilation: int, blocks: int):
     return plan
 
 
-def _conv_bn(k: int, dilation: int, groups: int):
+def _relu_conv_bn(k: int, dilation: int, groups: int):
     # ReLU, one k x k conv at the placement's stride, BN; a grouped conv
     # shuffles its channels before the BN
     def plan(kind: str, ctx: OpContext) -> tuple:
@@ -209,10 +226,10 @@ _PLANS = {
     AVG_POOL_3: lambda kind, ctx: (("pool", "avg", _same_channels(kind, ctx), ctx.stride),),
     IDENTITY: _identity,
     ZERO: lambda kind, ctx: (("zero", ctx.c_out, ctx.h_out, ctx.w_out),),
-    DIL_CONV_3: _conv_bn(3, 2, 1),
-    GROUP_CONV_G1: _conv_bn(1, 1, 1),
-    GROUP_CONV_G2: _conv_bn(1, 1, 2),
-    GROUP_CONV_G4: _conv_bn(1, 1, 4),
+    DIL_CONV_3: _relu_conv_bn(3, 2, 1),
+    GROUP_CONV_G1: _relu_conv_bn(1, 1, 1),
+    GROUP_CONV_G2: _relu_conv_bn(1, 1, 2),
+    GROUP_CONV_G4: _relu_conv_bn(1, 1, 4),
 }
 
 
@@ -267,7 +284,7 @@ def _init_conv(rng: np.random.Generator, c_out: int, c_in_per_group: int, k: int
     return Parameter(data, name)
 
 
-def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Tensor]:
+def _step_forward(step: tuple, conv_weight, bn_params, fused_bn: tuple | None = None) -> Callable[[Tensor], Tensor]:
     # Each closure looks its primitive up in this module at call time, so a
     # wrapper installed on rcnas.ops after the build still sees every call.
     tag = step[0]
@@ -277,6 +294,9 @@ def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Ten
         _, c_in, c_out, k, stride, dil, g = step
         w = conv_weight(c_out, c_in // g, k)
         pad = dil * (k - 1) // 2  # keeps the size at stride 1 for odd k
+        if fused_bn is not None:
+            gamma, beta = bn_params(fused_bn[1])
+            return lambda x: conv_bn(x, w, gamma, beta, stride=stride, padding=pad, dilation=dil, groups=g)
         return lambda x: conv2d(x, w, stride=stride, padding=pad, dilation=dil, groups=g)
     if tag == "fr":
         # the even grid and the grid shifted by one pixel, concatenated
@@ -295,8 +315,8 @@ def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Ten
         if mode == "max":
             return lambda x: max_pool2d(x, 3, stride, 1)
         return lambda x: avg_pool2d(x, 3, stride, 1)
-    shape = step[1:]  # "zero"
-    return lambda x: Tensor(np.zeros((x.shape[0],) + shape))
+    shape = step[1:]  # "zero": a read-only zero-stride view, no array to pin
+    return lambda x: Tensor(np.broadcast_to(0.0, (x.shape[0],) + shape))
 
 
 def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op") -> OpInstance:
@@ -304,7 +324,9 @@ def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op
 
     Weights are drawn in plan order, so builds are reproducible. The n-th
     conv weight is ``{prefix}.conv{n}.weight``; a BN is named after the conv
-    before it, ``{prefix}.bn{n}.gamma``/``.beta``.
+    before it, ``{prefix}.bn{n}.gamma``/``.beta``. A conv step directly
+    followed by a BN step runs as one ``conv_bn`` step, whose tape entry
+    keeps no conv output.
     """
     params: list[Parameter] = []
     n_conv = 0
@@ -319,5 +341,13 @@ def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op
         params.extend([Parameter(np.ones(c), f"{prefix}.bn{n_conv}.gamma"), Parameter(np.zeros(c), f"{prefix}.bn{n_conv}.beta")])
         return params[-2:]
 
-    steps = [_step_forward(step, conv_weight, bn_params) for step in layer_plan(kind, ctx)]
-    return OpInstance(kind, ctx, params, steps)
+    plan = layer_plan(kind, ctx)
+    steps: list[Callable[[Tensor], Tensor]] = []
+    fused = False
+    for step, nxt in zip(plan, plan[1:] + (None,)):
+        if fused:  # this BN runs inside the conv_bn step before it
+            fused = False
+            continue
+        fused = step[0] == "conv" and nxt is not None and nxt[0] == "bn"
+        steps.append(_step_forward(step, conv_weight, bn_params, nxt if fused else None))
+    return OpInstance(kind, ctx, params, steps, reads_relu=plan[:1] == (("relu",),))

@@ -84,6 +84,39 @@ def _conv_pair(seed, cfg, wrt):
     return (lambda w: run(Tensor(x_data), w)), Tensor(w_data)
 
 
+_CONV_BN_CONFIGS = [
+    # (c_in, c_out, k, stride, padding, dilation, groups)
+    (4, 4, 1, 1, 0, 1, 1),  # pointwise
+    (4, 6, 1, 1, 0, 1, 1),  # pointwise, c_in != c_out
+    (4, 4, 3, 1, 2, 2, 1),  # dense dilated 3x3 (dil_conv_3x3)
+    (4, 8, 3, 2, 2, 2, 1),  # dense dilated 3x3, stride 2, c_in != c_out
+    (3, 5, 3, 2, 1, 1, 1),  # dense 3x3, stride 2, c_in != c_out
+    (4, 4, 1, 2, 0, 1, 1),  # pointwise, stride 2
+]
+
+
+def _case_conv_bn(seed, cfg, wrt):
+    c_in, c_out, k, stride, padding, dilation, groups = cfg
+    rng = _rng(seed)
+    data = {
+        "x": rng.standard_normal((3, c_in, 6, 6)),
+        "w": rng.standard_normal((c_out, c_in // groups, k, k)),
+        "gamma": 0.5 + rng.random(c_out),
+        "beta": rng.standard_normal(c_out),
+    }
+    r = None
+
+    def f(t):
+        nonlocal r
+        args = [t if name == wrt else Tensor(d) for name, d in data.items()]
+        out = ad.conv_bn(*args, stride=stride, padding=padding, dilation=dilation, groups=groups)
+        if r is None:
+            r = _proj(_rng(seed + 999), out.shape)
+        return _scalarize(out, r)
+
+    return f, Tensor(data[wrt])
+
+
 def _case_batch_norm(seed, wrt):
     rng = _rng(seed)
     c = 4
@@ -341,6 +374,9 @@ def engine_cases() -> list[tuple[str, object, object]]:
     for s in range(4):
         for wrt in ("x", "gamma", "beta"):
             cases.append((f"batch_norm_{wrt}[{s}]", *_case_batch_norm(300 + s, wrt)))
+    for i, cfg in enumerate(_CONV_BN_CONFIGS):
+        for wrt in ("x", "w") if i % 2 else ("x", "w", "gamma", "beta"):
+            cases.append((f"conv_bn_{wrt}[{i}]", *_case_conv_bn(320 + i, cfg, wrt)))
     for s in range(6):
         cases.append((f"max_pool2d_s1[{s}]", *_case_max_pool(400 + s, 1)))
         cases.append((f"max_pool2d_s2[{s}]", *_case_max_pool(410 + s, 2)))

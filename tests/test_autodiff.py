@@ -213,6 +213,66 @@ def test_batch_norm_matches_np_var(shape, loc, spread):
     assert np.array_equal(out.data, expect)
 
 
+CONV_BN_CASES = [
+    # (c_in, c_out, k, stride, padding, dilation, groups)
+    (8, 8, 1, 1, 0, 1, 1),  # pointwise
+    (4, 6, 1, 1, 0, 1, 1),  # pointwise, c_in != c_out
+    (8, 8, 3, 1, 2, 2, 1),  # dense dilated 3x3
+    (4, 8, 3, 2, 1, 1, 1),  # dense, stride 2, c_in != c_out
+    (8, 8, 1, 1, 0, 1, 4),  # grouped
+    (8, 8, 5, 2, 4, 2, 8),  # depthwise, dilated, strided (output laid out channel-major)
+]
+
+
+def _conv_bn_run(fused, cfg, seed=3):
+    c_in, c_out, k, stride, padding, dilation, groups = cfg
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.standard_normal((4, c_in, 8, 8)), requires_grad=True)
+    w = Parameter(rng.standard_normal((c_out, c_in // groups, k, k)), "w")
+    gamma = Parameter(0.5 + rng.random(c_out), "gamma")
+    beta = Parameter(rng.standard_normal(c_out), "beta")
+    at = dict(stride=stride, padding=padding, dilation=dilation, groups=groups)
+    with Tape() as tape:
+        if fused:
+            out = ad.conv_bn(x, w, gamma, beta, **at)
+        else:
+            out = ad.batch_norm(ad.conv2d(x, w, **at), gamma, beta)
+        r = Tensor(np.random.default_rng(seed + 1).standard_normal(out.shape))
+        loss = ad.tensor_sum(ad.mul(out, r))
+    n_entries = len(tape)
+    tape.backward(loss)
+    return n_entries, [out.data, x.grad, w.grad, gamma.grad, beta.grad]
+
+
+@pytest.mark.parametrize("cfg", CONV_BN_CASES)
+def test_conv_bn_matches_batch_norm_of_conv2d_bit_for_bit(cfg):
+    n_fused, fused = _conv_bn_run(True, cfg)
+    n_chain, chain = _conv_bn_run(False, cfg)
+    assert n_fused == n_chain - 1  # one entry where the chain records two
+    for got, want in zip(fused, chain):
+        assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_conv_bn_keeps_no_conv_output():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.standard_normal((8, 8, 16, 16)))
+    w = Parameter(rng.standard_normal((8, 8, 1, 1)), "w")
+    gamma, beta = Parameter(np.ones(8), "gamma"), Parameter(np.zeros(8), "beta")
+    held, tapes = {}, []
+    for name, fn in (("fused", ad.conv_bn), ("chain", lambda *a: ad.batch_norm(ad.conv2d(a[0], a[1]), a[2], a[3]))):
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = fn(x, w, gamma, beta)
+            held[name] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        tapes.append(tape)
+    # the chain also keeps the conv output, one array of the output's size
+    assert [len(t) for t in tapes] == [1, 2]
+    assert held["fused"] < held["chain"] - out.data.nbytes // 2
+
+
 def test_channel_shuffle_permutation():
     x = Tensor(np.arange(4, dtype=np.float64).reshape(1, 4, 1, 1))
     y = ad.channel_shuffle(x, 2)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rcnas import cells
+from rcnas import autodiff, cells, network, ops
 from rcnas.autodiff import Tape, Tensor
 from rcnas.cost import build_cost_table, exact_cost
 from rcnas.network import (
@@ -250,3 +250,90 @@ def test_supernet_weight_step_backward_frees_as_it_goes():
         tracemalloc.stop()
     assert all(p.grad is not None for p in net.weight_params())
     assert peak <= 1.15 * held
+
+
+# the shapes_4cell plan (configs/shapes_4cell.json) at its search batch of 16
+SHAPES_4CELL = NetworkPlan(n_cells=4, init_channels=4, n_classes=4, image_hw=(16, 16), n_nodes=5, k_levels=3)
+
+
+def _shapes_batch():
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((16, 3, 16, 16)), rng.integers(0, 4, size=16)
+
+
+def _count_calls(monkeypatch, name, modules, record):
+    """Wrap ``autodiff.<name>`` under every listed module's binding."""
+    original = getattr(autodiff, name)
+
+    def counted(*args, **kwargs):
+        record.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+
+
+def test_supernet_forward_tape_budget(monkeypatch):
+    # each conv op takes its ReLU from the state it shares with its
+    # siblings, and conv+BN is one entry: 757 entries before either
+    convs = []
+    _count_calls(monkeypatch, "conv2d", (autodiff, ops, network), convs)
+    net = Supernet(SHAPES_4CELL, seed=0)
+    x, y = _shapes_batch()
+    with Tape() as tape:
+        net.loss(x, y)
+    assert len(tape) <= 520
+    assert len(convs) == 289  # every conv still runs, fused or not
+
+
+def test_relu_runs_once_per_relud_cell_state(monkeypatch):
+    shared = []
+    _count_calls(monkeypatch, "relu", (cells,), shared)
+
+    class MarkedScope(cells.SharedRelu):
+        def __init__(self, keys):
+            shared.append(None)  # a new scope: a cell's links, or its edges
+            super().__init__(keys)
+
+    monkeypatch.setattr(cells, "SharedRelu", MarkedScope)
+    net = Supernet(SHAPES_4CELL, seed=0)
+    x, _ = _shapes_batch()
+    with Tape():
+        net.forward(x)
+    # every template edge and link mixture holds a ReLU-led conv op, so each
+    # cell ReLUs each distinct link source and each state that feeds an edge
+    layout = SHAPES_4CELL.layout()
+    expect = sum(
+        len({src for src, _ in links}) + len({i for i, _ in layout.templates[info.kind].edges()})
+        for info, links in zip(layout.cells, layout.links)
+    )
+    relus = [t for t in shared if t is not None]
+    assert len(relus) == expect == 19
+    # within a scope no tensor is ReLU'd twice; across cells it may be
+    scopes: list[list[int]] = []
+    for t in shared:
+        if t is None:
+            scopes.append([])
+        else:
+            scopes[-1].append(id(t))
+    assert len(scopes) == 2 * SHAPES_4CELL.n_cells
+    assert all(len(set(ids)) == len(ids) for ids in scopes)
+
+
+# tracemalloc peak of this forward before the ReLU was shared per state and
+# conv+BN fused: sharing may not keep ReLU'd states alive past their cell
+FORWARD_ONLY_PEAK_BEFORE = 2313131
+
+
+def test_forward_only_discrete_peak_does_not_grow():
+    arch = cells.derive_discrete(Supernet(SHAPES_4CELL, seed=0).arch, SHAPES_4CELL.templates())
+    net = DiscreteNetwork(SHAPES_4CELL, arch, seed=1)
+    x, _ = _shapes_batch()
+    net.forward(x)  # warm the conv band cache
+    tracemalloc.start()
+    try:
+        net.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= FORWARD_ONLY_PEAK_BEFORE

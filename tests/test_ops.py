@@ -7,7 +7,7 @@ cross-checked against the built instances' actual parameter sizes.
 import numpy as np
 import pytest
 
-from rcnas import ops
+from rcnas import autodiff, ops
 from rcnas.autodiff import ShapeError, Tensor, batch_norm, channel_shuffle, conv2d, relu
 
 
@@ -145,7 +145,10 @@ def _forward_counting_macs(monkeypatch, inst, x):
 
         return counted
 
-    monkeypatch.setattr(ops, "conv2d", counting(ops.conv2d, lambda x, w, *a: w.shape[1] * w.shape[2] * w.shape[3]))
+    # ops calls conv2d itself and through conv_bn, which reads the autodiff binding
+    counted_conv = counting(ops.conv2d, lambda x, w, *a: w.shape[1] * w.shape[2] * w.shape[3])
+    monkeypatch.setattr(ops, "conv2d", counted_conv)
+    monkeypatch.setattr(autodiff, "conv2d", counted_conv)
     monkeypatch.setattr(ops, "max_pool2d", counting(ops.max_pool2d, lambda *a: 9))
     monkeypatch.setattr(ops, "avg_pool2d", counting(ops.avg_pool2d, lambda *a: 9))
     return inst(x), macs
@@ -219,3 +222,21 @@ def test_input_shape_enforced():
     inst = ops.build(ops.SEP_CONV_3, _ctx(c_in=8, c_out=8), _rng())
     with pytest.raises(ShapeError):
         inst(Tensor(np.ones((2, 4, 8, 8))))
+
+
+@pytest.mark.parametrize("kind", ops.NORMAL_OPS)
+def test_shared_relu_gives_the_same_output(kind):
+    # a caller holding relu(x) may hand it over; ops that start with a
+    # ReLU read it, the rest ignore it, and the output bits do not change
+    ctx = _ctx(c_in=8, c_out=8, hw=8)
+    inst = ops.build(kind, ctx, _rng())
+    x = Tensor(_rng().standard_normal((2, 8, 8, 8)))
+    assert inst.reads_relu == (ops.layer_plan(kind, ctx)[:1] == (("relu",),))
+    assert inst(x, relu(x)).data.tobytes() == inst(x).data.tobytes()
+
+
+def test_zero_op_pins_no_array():
+    inst = ops.build(ops.ZERO, _ctx(c_in=8, c_out=8, hw=8, stride=2), _rng())
+    out = inst(Tensor(np.ones((2, 8, 8, 8))))
+    assert out.shape == (2, 8, 4, 4) and not out.data.any()
+    assert out.data.strides == (0, 0, 0, 0) and not out.data.flags.writeable
