@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Check that a change leaves the search artifacts byte-identical.
+
+Unpacks git revision REV into a temporary directory with ``git archive``,
+runs ``rcnas search --config configs/toy_blobs.json`` once from that copy's
+source and once from the work tree's, then compares the six primary
+artifacts with ``cmp``. Prints one line per artifact and exits 1 if any
+differs (2 if a search fails).
+
+    python3 scripts/same_artifacts.py 70327fc
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot")
+CONFIG = "configs/toy_blobs.json"
+WORK_TREE = Path(__file__).resolve().parent.parent
+
+
+def run_search(tree: Path, out: Path) -> None:
+    """One search from ``tree``'s own source and config, written to ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    cmd = [sys.executable, "-m", "rcnas.cli", "search", "--config", CONFIG, "--out", str(out)]
+    subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("rev", help="git revision to compare the work tree against")
+    args = p.parse_args()
+    with tempfile.TemporaryDirectory(prefix="same_artifacts_") as tmp:
+        tmp = Path(tmp)
+        base = tmp / "base"
+        base.mkdir()
+        archive = subprocess.run(["git", "archive", args.rev], cwd=WORK_TREE, check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        try:
+            run_search(base, tmp / "run_base")
+            run_search(WORK_TREE, tmp / "run_work")
+        except subprocess.CalledProcessError as exc:
+            print(f"search failed: {exc}", file=sys.stderr)
+            return 2
+        differ = 0
+        for name in ARTIFACTS:
+            same = subprocess.run(["cmp", "-s", str(tmp / "run_base" / name), str(tmp / "run_work" / name)]).returncode == 0
+            differ += not same
+            print(f"{name}: {'identical' if same else 'DIFFERS'}")
+    print(f"{len(ARTIFACTS) - differ}/{len(ARTIFACTS)} artifacts byte-identical to {args.rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

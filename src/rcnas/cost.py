@@ -78,8 +78,10 @@ class ConstraintBox:
         object.__setattr__(self, "upper", hi)
         if lo.shape != (N_METRICS,) or hi.shape != (N_METRICS,):
             raise ValueError(f"bounds must have shape ({N_METRICS},)")
-        if np.any(lo < 0):
-            raise ValueError("lower bounds must be non-negative")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError(f"bounds must not be NaN, got lower {lo}, upper {hi}")
+        if np.any(lo < 0) or np.any(np.isinf(lo)):
+            raise ValueError("lower bounds must be finite and non-negative")
         if np.any(lo > hi):
             raise ValueError(f"empty box: lower {lo} exceeds upper {hi}")
 
@@ -152,15 +154,11 @@ class CostTable:
 
 
 def _stem_classifier_costs(layout: Layout) -> np.ndarray:
-    plan = layout.plan
-    h, w = plan.image_hw
-    C = plan.init_channels
-    stem_params = 9 * plan.in_channels * C + 2 * C
-    stem_flops = 9 * plan.in_channels * C * h * w
+    # the stem is an op plan; the classifier is a linear layer with bias
+    K = layout.plan.n_classes
     feat = layout.final_channels
-    fc_params = feat * plan.n_classes + plan.n_classes
-    fc_flops = feat * plan.n_classes
-    return np.array([stem_params + fc_params, stem_flops + fc_flops], dtype=np.float64)
+    stem = np.array(ops.counts(ops.STEM, layout.stem_context), dtype=np.float64)
+    return stem + np.array([feat * K + K, feat * K], dtype=np.float64)
 
 
 def build_cost_table(plan: NetworkPlan) -> CostTable:

@@ -180,10 +180,10 @@ def pareto_front(costs: np.ndarray, scores: np.ndarray) -> list[int]:
 
 def resolve_workers(requested: int | None = None) -> int:
     """Worker count for scoring: RCNAS_THREADS caps whatever was asked for."""
-    cap_str = os.environ.get("RCNAS_THREADS", "")
-    cap = int(cap_str) if cap_str.strip() else (os.cpu_count() or 1)
-    if cap < 1:
-        raise ValueError("RCNAS_THREADS must be a positive integer")
+    cap_str = os.environ.get("RCNAS_THREADS", "").strip()
+    if cap_str and not (cap_str.isdecimal() and int(cap_str) >= 1):
+        raise ValueError(f"RCNAS_THREADS must be a positive integer, got {cap_str!r}")
+    cap = int(cap_str) if cap_str else (os.cpu_count() or 1)
     want = requested if requested is not None else cap
     return max(1, min(want, cap))
 

@@ -9,7 +9,10 @@ op; DiscreteNetwork holds the op a DiscreteArch chose, or nothing on an
 edge it did not keep. The cost model prices the same slots, so costs,
 counts, and shapes agree by construction. With connection cells off, each
 link holds the fixed FIXED_LINK_OP (ReLU, 1x1 conv at the link's stride,
-BN) and its cost is part of the fixed term.
+BN) and its cost is part of the fixed term. The stem is the op ops.STEM
+(3x3 conv and BN) at ``Layout.stem_context``, built and priced from its
+plan like every other op; only the classifier (global pooling and a
+linear layer) is written here.
 """
 from __future__ import annotations
 
@@ -22,8 +25,7 @@ from . import cells, ops
 from .autodiff import (
     Parameter,
     Tensor,
-    batch_norm,
-    conv2d,
+    conv2d,  # noqa: F401 - unused here; perfbench/test_perfbench.py reads rcnas.network.conv2d
     cross_entropy_logits,
     global_avg_pool,
     linear,
@@ -204,6 +206,12 @@ class Layout:
     templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
 
     @property
+    def stem_context(self) -> ops.OpContext:
+        """Placement of the stem op: the input image to init_channels."""
+        plan = self.plan
+        return ops.OpContext(plan.in_channels, plan.init_channels, *plan.image_hw)
+
+    @property
     def final_channels(self) -> int:
         return self.cells[-1].out_channels
 
@@ -237,14 +245,8 @@ class _NetworkBase:
         self._theta_rng = np.random.default_rng(theta_ss)
         self._params: list[Parameter] = []
 
-        C = plan.init_channels
-        self.stem_w = self._track(ops._init_conv(self._w_rng, C, plan.in_channels, 3, "stem.conv.weight"))
-        self.stem_gamma = self._track(Parameter(np.ones(C), "stem.bn.gamma"))
-        self.stem_beta = self._track(Parameter(np.zeros(C), "stem.bn.beta"))
-
-    def _track(self, p: Parameter) -> Parameter:
-        self._params.append(p)
-        return p
+        self.stem = ops.build(ops.STEM, self.layout.stem_context, self._w_rng, "stem")
+        self._params.extend(self.stem.parameters)
 
     def _slot_op(self, slot: Slot) -> EdgeFn | None:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -269,8 +271,9 @@ class _NetworkBase:
         feat = self.layout.final_channels
         K = self.plan.n_classes
         bound = np.sqrt(6.0 / feat)
-        self.fc_w = self._track(Parameter(self._w_rng.uniform(-bound, bound, size=(K, feat)), "classifier.weight"))
-        self.fc_b = self._track(Parameter(np.zeros(K), "classifier.bias"))
+        self.fc_w = Parameter(self._w_rng.uniform(-bound, bound, size=(K, feat)), "classifier.weight")
+        self.fc_b = Parameter(np.zeros(K), "classifier.bias")
+        self._params += [self.fc_w, self.fc_b]
         self.check_names_unique()
 
     def _forward(self, x, tap: int | None) -> Tensor:
@@ -279,7 +282,7 @@ class _NetworkBase:
         cell's links run under one ``cells.SharedRelu``, as its edges do, so
         two links from one source share its ReLU; no ReLU outlives its cell."""
         xt = x if isinstance(x, Tensor) else Tensor(x)
-        stem_out = batch_norm(conv2d(xt, self.stem_w, stride=1, padding=1), self.stem_gamma, self.stem_beta)
+        stem_out = self.stem(xt)
         outs: list[Tensor] = []
         for info, links, nodes in zip(self.layout.cells, self._links, self._nodes):
             shared = cells.SharedRelu(src for src, _ in links)

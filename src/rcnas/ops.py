@@ -4,28 +4,29 @@ Two op families exist. Cells searched over spatial features use the
 8-op set NORMAL_OPS (separable/dilated convs, pools, identity, zero);
 channel-adapting cells between other cells use the 4-op set
 CONNECTION_OPS (a dilated 3x3 conv and grouped 1x1 convs with channel
-shuffle).
+shuffle). The network stem is the op STEM, in neither set.
 
 Each op is described once, by its layer plan: layer_plan(kind, ctx) reads
 the name -> plan table _PLANS and returns a tuple of steps, each one of
-  ("relu",)  ("bn", c)  ("shuffle", groups)  ("zero", c_out, h_out, w_out)
-  ("conv", c_in, c_out, k, stride, dilation, groups)
+  ("relu",)  ("shuffle", groups)  ("zero", c_out, h_out, w_out)
+  ("conv", c_in, c_out, k, stride, dilation, groups): a bare conv
+  ("conv_bn", c_in, c_out, k, stride, dilation, groups): that conv and a
+      BN of its output, one autodiff.conv_bn call
   ("pool", "max" | "avg", c, stride): 3x3, padding 1
   ("fr", c_in, c_out): factorized reduce, two parallel stride-2 1x1 convs
       to c_out/2 channels each, on the even grid and on the grid shifted
-      by one pixel, concatenated
+      by one pixel, concatenated, then a BN
 Identity at stride 1 is the empty plan. The plan is the only check of a
 placement, and counts() and build() are each one loop over it, so they
 accept the same placements and the formulas match the built weights by
-construction.
+construction. Each step builds to one forward, and none sees another.
 
-build() runs a ("conv", ...) step directly followed by ("bn", c) as one
-autodiff.conv_bn step, whose tape entry keeps no conv output; the plan,
-the counts, the parameter names and the weight-draw order are those of the
-two steps. An op whose plan starts with ("relu",) has ``reads_relu`` set:
-a caller that already holds the ReLU of the input (cells.cell_forward
-shares one per state within a cell) passes it in, and the op starts from
-it instead of taking its own.
+A grouped conv normalizes before it shuffles (as the ShuffleNet unit
+does), so its BN's gamma[k] and beta[k] act on conv output channel k.
+An op whose plan starts with ("relu",) has ``reads_relu`` set: a caller
+that already holds the ReLU of the input (cells.cell_forward shares one
+per state within a cell) passes it in, and the op starts from it instead
+of taking its own.
 
 Cost conventions (normative, mirrored in the README):
   - conv k x k with groups g: params k^2 * c_in * c_out / g (no bias),
@@ -64,6 +65,7 @@ __all__ = [
     "CONNECTION_OPS",
     "ZERO",
     "IDENTITY",
+    "STEM",
     "OpContext",
     "OpInstance",
     "build",
@@ -86,6 +88,7 @@ DIL_CONV_3 = "dil_conv_3x3"
 GROUP_CONV_G1 = "group_conv_1x1_g1"
 GROUP_CONV_G2 = "group_conv_1x1_g2"
 GROUP_CONV_G4 = "group_conv_1x1_g4"
+STEM = "stem_conv_3x3"
 
 # Order is load-bearing: architecture logits index into these tuples.
 NORMAL_OPS: tuple[str, ...] = (
@@ -184,11 +187,11 @@ def _same_channels(kind: str, ctx: OpContext) -> int:
 
 
 def _sep_conv(k: int, dilation: int, blocks: int):
-    # blocks x (ReLU, depthwise k x k, pointwise 1x1, BN); only the first
-    # depthwise conv carries the stride
+    # blocks x (ReLU, depthwise k x k, pointwise 1x1 and BN); only the
+    # first depthwise conv carries the stride
     def plan(kind: str, ctx: OpContext) -> tuple:
         c = _same_channels(kind, ctx)
-        first = (("relu",), ("conv", c, c, k, ctx.stride, dilation, c), ("conv", c, c, 1, 1, 1, 1), ("bn", c))
+        first = (("relu",), ("conv", c, c, k, ctx.stride, dilation, c), ("conv_bn", c, c, 1, 1, 1, 1))
         rest = (("relu",), ("conv", c, c, k, 1, dilation, c)) + first[2:]
         return first + rest * (blocks - 1)
 
@@ -196,14 +199,13 @@ def _sep_conv(k: int, dilation: int, blocks: int):
 
 
 def _relu_conv_bn(k: int, dilation: int, groups: int):
-    # ReLU, one k x k conv at the placement's stride, BN; a grouped conv
-    # shuffles its channels before the BN
+    # ReLU, one k x k conv at the placement's stride and its BN; a grouped
+    # conv then shuffles its channels
     def plan(kind: str, ctx: OpContext) -> tuple:
         if ctx.c_in % groups or ctx.c_out % groups:
             raise ShapeError(kind, f"channels {ctx.c_in}->{ctx.c_out} not divisible by groups {groups}")
-        conv = ("conv", ctx.c_in, ctx.c_out, k, ctx.stride, dilation, groups)
         shuffle = (("shuffle", groups),) if groups > 1 else ()
-        return (("relu",), conv) + shuffle + (("bn", ctx.c_out),)
+        return (("relu",), ("conv_bn", ctx.c_in, ctx.c_out, k, ctx.stride, dilation, groups)) + shuffle
 
     return plan
 
@@ -214,7 +216,7 @@ def _identity(kind: str, ctx: OpContext) -> tuple:
         return ()
     if ctx.c_out % 2:
         raise ShapeError(kind, f"factorized reduce needs even c_out, got {ctx.c_out}")
-    return (("relu",), ("fr", ctx.c_in, ctx.c_out), ("bn", ctx.c_out))
+    return (("relu",), ("fr", ctx.c_in, ctx.c_out))
 
 
 _PLANS = {
@@ -230,6 +232,8 @@ _PLANS = {
     GROUP_CONV_G1: _relu_conv_bn(1, 1, 1),
     GROUP_CONV_G2: _relu_conv_bn(1, 1, 2),
     GROUP_CONV_G4: _relu_conv_bn(1, 1, 4),
+    # 3x3 conv and BN on the input image, at full resolution
+    STEM: lambda kind, ctx: (("conv_bn", ctx.c_in, ctx.c_out, 3, 1, 1, 1),),
 }
 
 
@@ -249,21 +253,19 @@ def counts(kind: str, ctx: OpContext) -> tuple[int, int]:
     h, w = ctx.h_in, ctx.w_in
     for step in layer_plan(kind, ctx):
         tag = step[0]
-        if tag == "conv":
+        if tag in ("conv", "conv_bn"):
             _, c_in, c_out, k, stride, _dil, g = step
             h, w = h // stride, w // stride
-            params += k * k * (c_in // g) * c_out
+            params += k * k * (c_in // g) * c_out + (2 * c_out if tag == "conv_bn" else 0)
             flops += k * k * (c_in // g) * c_out * h * w
-        elif tag == "fr":  # two 1x1 convs, each c_in -> c_out/2, at stride 2
+        elif tag == "fr":  # two 1x1 convs, each c_in -> c_out/2, at stride 2, and a BN
             h, w = h // 2, w // 2
-            params += step[1] * step[2]
+            params += step[1] * step[2] + 2 * step[2]
             flops += step[1] * step[2] * h * w
         elif tag == "pool":
             _, _mode, c, stride = step
             h, w = h // stride, w // stride
             flops += 9 * c * h * w
-        elif tag == "bn":
-            params += 2 * step[1]
     return params, flops
 
 
@@ -284,29 +286,32 @@ def _init_conv(rng: np.random.Generator, c_out: int, c_in_per_group: int, k: int
     return Parameter(data, name)
 
 
-def _step_forward(step: tuple, conv_weight, bn_params, fused_bn: tuple | None = None) -> Callable[[Tensor], Tensor]:
+def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Tensor]:
     # Each closure looks its primitive up in this module at call time, so a
     # wrapper installed on rcnas.ops after the build still sees every call.
     tag = step[0]
     if tag == "relu":
         return lambda x: relu(x)
-    if tag == "conv":
+    if tag in ("conv", "conv_bn"):
         _, c_in, c_out, k, stride, dil, g = step
         w = conv_weight(c_out, c_in // g, k)
         pad = dil * (k - 1) // 2  # keeps the size at stride 1 for odd k
-        if fused_bn is not None:
-            gamma, beta = bn_params(fused_bn[1])
+        if tag == "conv_bn":
+            gamma, beta = bn_params(c_out)
             return lambda x: conv_bn(x, w, gamma, beta, stride=stride, padding=pad, dilation=dil, groups=g)
         return lambda x: conv2d(x, w, stride=stride, padding=pad, dilation=dil, groups=g)
     if tag == "fr":
-        # the even grid and the grid shifted by one pixel, concatenated
+        # the even grid and the grid shifted by one pixel, concatenated, then BN
         _, c_in, c_out = step
         w1 = conv_weight(c_out // 2, c_in, 1)
         w2 = conv_weight(c_out // 2, c_in, 1)
-        return lambda x: concat([conv2d(x, w1, stride=2), conv2d(crop_offset(x, 1, 1), w2, stride=2)], axis=1)
-    if tag == "bn":
-        gamma, beta = bn_params(step[1])
-        return lambda x: batch_norm(x, gamma, beta)
+        gamma, beta = bn_params(c_out)
+
+        def factorized_reduce(x: Tensor) -> Tensor:
+            halves = concat([conv2d(x, w1, stride=2), conv2d(crop_offset(x, 1, 1), w2, stride=2)], axis=1)
+            return batch_norm(halves, gamma, beta)
+
+        return factorized_reduce
     if tag == "shuffle":
         groups = step[1]
         return lambda x: channel_shuffle(x, groups)
@@ -323,10 +328,8 @@ def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op
     """Instantiate an op at a placement, drawing weights from ``rng``.
 
     Weights are drawn in plan order, so builds are reproducible. The n-th
-    conv weight is ``{prefix}.conv{n}.weight``; a BN is named after the conv
-    before it, ``{prefix}.bn{n}.gamma``/``.beta``. A conv step directly
-    followed by a BN step runs as one ``conv_bn`` step, whose tape entry
-    keeps no conv output.
+    conv weight is ``{prefix}.conv{n}.weight``; a BN is named after the last
+    conv before it, ``{prefix}.bn{n}.gamma``/``.beta``.
     """
     params: list[Parameter] = []
     n_conv = 0
@@ -342,12 +345,5 @@ def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op
         return params[-2:]
 
     plan = layer_plan(kind, ctx)
-    steps: list[Callable[[Tensor], Tensor]] = []
-    fused = False
-    for step, nxt in zip(plan, plan[1:] + (None,)):
-        if fused:  # this BN runs inside the conv_bn step before it
-            fused = False
-            continue
-        fused = step[0] == "conv" and nxt is not None and nxt[0] == "bn"
-        steps.append(_step_forward(step, conv_weight, bn_params, nxt if fused else None))
+    steps = [_step_forward(step, conv_weight, bn_params) for step in plan]
     return OpInstance(kind, ctx, params, steps, reads_relu=plan[:1] == (("relu",),))

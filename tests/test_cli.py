@@ -224,6 +224,16 @@ def test_bad_nested_value_names_path(tmp_path, capsys):
     assert "search/epochs" in capsys.readouterr().err
 
 
+def test_nan_constraint_bound_exits_2(tmp_path, capsys):
+    # json reads NaN and the schema's minimum does not reject it; the box does
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(_tiny_config(constraints={"lower": [None, None], "upper": [float("nan"), 300000.0]})))
+    assert "NaN" in p.read_text()
+    assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert "NaN" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_exits_4(tmp_path):
     assert main(["search", "--config", str(tmp_path / "nope.json")]) == 4
 

@@ -136,6 +136,15 @@ def test_all_identity_arch_costs_only_fixed_plus_links():
     assert exact[1] == table.fixed[1] + 4 * 1024
 
 
+def test_fixed_term_is_stem_plan_plus_classifier():
+    plan = NetworkPlan(n_cells=4, init_channels=4, n_classes=4, image_hw=(16, 16), n_nodes=5, k_levels=3)
+    table = build_cost_table(plan)
+    # stem: 3x3 conv 3 -> 4 and BN (116 params, 27648 FLOPs at 16x16);
+    # classifier: 32 features -> 4 classes with bias (132 params, 128 FLOPs)
+    assert ops.counts(ops.STEM, plan.layout().stem_context) == (116, 27648)
+    assert table.fixed.tolist() == [248, 27776]
+
+
 def test_violation_trivials():
     box = ConstraintBox(np.array([10.0, 0.0]), np.array([20.0, 5.0]))
     lo, hi = violation(np.array([15.0, 2.0]), box)
@@ -164,6 +173,13 @@ def test_box_validation():
         ConstraintBox(np.array([-1.0, 0.0]), np.array([1.0, 10.0]))
     with pytest.raises(ValueError):
         ConstraintBox(np.zeros(3), np.ones(3))
+    # a box no cost can ever meet is refused, not searched
+    with pytest.raises(ValueError, match="NaN"):
+        ConstraintBox(np.zeros(2), np.array([np.nan, 10.0]))
+    with pytest.raises(ValueError, match="NaN"):
+        ConstraintBox(np.array([0.0, np.nan]), np.array([1.0, 10.0]))
+    with pytest.raises(ValueError, match="finite"):
+        ConstraintBox(np.array([np.inf, 0.0]), np.full(2, np.inf))
 
 
 def test_phi_range_matches_vertex_enumeration():

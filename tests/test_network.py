@@ -275,15 +275,18 @@ def _count_calls(monkeypatch, name, modules, record):
 
 def test_supernet_forward_tape_budget(monkeypatch):
     # each conv op takes its ReLU from the state it shares with its
-    # siblings, and conv+BN is one entry: 757 entries before either
-    convs = []
-    _count_calls(monkeypatch, "conv2d", (autodiff, ops, network), convs)
+    # siblings, and conv+BN is one entry, the stem's and the grouped convs'
+    # included: 757 entries before any of it
+    convs, bns = [], []
+    _count_calls(monkeypatch, "conv2d", (autodiff, ops), convs)
+    _count_calls(monkeypatch, "batch_norm", (autodiff, ops), bns)
     net = Supernet(SHAPES_4CELL, seed=0)
     x, y = _shapes_batch()
     with Tape() as tape:
         net.loss(x, y)
-    assert len(tape) <= 520
+    assert len(tape) <= 503
     assert len(convs) == 289  # every conv still runs, fused or not
+    assert len(bns) == 8  # only the factorized reduces run a bare batch_norm
 
 
 def test_relu_runs_once_per_relud_cell_state(monkeypatch):

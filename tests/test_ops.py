@@ -65,13 +65,12 @@ def test_sep_conv3_flops_8x8():
 
 
 def _convs(kind, ctx):
-    return [step for step in ops.layer_plan(kind, ctx) if step[0] == "conv"]
+    return [step for step in ops.layer_plan(kind, ctx) if step[0] in ("conv", "conv_bn")]
 
 
 def test_sep_conv_is_two_independent_blocks():
-    steps = ops.layer_plan(ops.SEP_CONV_3, _ctx())
     convs = _convs(ops.SEP_CONV_3, _ctx())
-    bns = [step for step in steps if step[0] == "bn"]
+    bns = [step for step in convs if step[0] == "conv_bn"]
     assert len(convs) == 4 and len(bns) == 2
     # depthwise convs are the 1st and 3rd; only the first carries the stride
     convs2 = _convs(ops.SEP_CONV_3, _ctx(stride=2))
@@ -96,6 +95,45 @@ def test_group_conv_applies_channel_shuffle():
     w, gamma, beta = inst.parameters
     manual = channel_shuffle(batch_norm(conv2d(relu(x), w, stride=1, groups=2), gamma, beta), 2)
     np.testing.assert_array_equal(got, manual.data)
+
+
+@pytest.mark.parametrize("kind,groups", [(ops.GROUP_CONV_G2, 2), (ops.GROUP_CONV_G4, 4)])
+def test_grouped_conv_normalizes_before_shuffling(kind, groups):
+    # BN runs on the conv output and the shuffle after it, so gamma[k] and
+    # beta[k] act on conv output channel k; outputs and every gradient match
+    # the unfused chain bit for bit
+    ctx = _ctx(c_in=8, c_out=8, hw=4)
+    inst = ops.build(kind, ctx, _rng())
+    w, gamma, beta = inst.parameters
+    rng = np.random.default_rng(3)
+    gamma.data[:] = rng.uniform(0.5, 1.5, 8)
+    beta.data[:] = rng.standard_normal(8)
+    x_data = _rng().standard_normal((2, 8, 4, 4))
+    g_out = rng.standard_normal((2, 8, 4, 4))
+
+    def run(forward):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        for p in (w, gamma, beta):
+            p.grad = None
+        with autodiff.Tape() as tape:
+            out = forward(x)
+            loss = autodiff.tensor_sum(autodiff.mul(out, Tensor(g_out)))
+        tape.backward(loss)
+        return [a.tobytes() for a in (out.data, x.grad, w.grad, gamma.grad, beta.grad)]
+
+    manual = run(lambda x: channel_shuffle(batch_norm(conv2d(relu(x), w, groups=groups), gamma, beta), groups))
+    assert run(inst) == manual
+
+
+def test_stem_is_a_conv_bn_plan():
+    in_ch, C, hw = 3, 16, 8
+    ctx = ops.OpContext(c_in=in_ch, c_out=C, h_in=hw, w_in=hw)
+    assert ops.STEM not in ops.NORMAL_OPS + ops.CONNECTION_OPS
+    assert ops.layer_plan(ops.STEM, ctx) == (("conv_bn", in_ch, C, 3, 1, 1, 1),)
+    assert ops.counts(ops.STEM, ctx) == (9 * in_ch * C + 2 * C, 9 * in_ch * C * hw * hw)
+    inst = ops.build(ops.STEM, ctx, _rng(), "stem")
+    assert [p.name for p in inst.parameters] == ["stem.conv1.weight", "stem.bn1.gamma", "stem.bn1.beta"]
+    assert inst.weight_count() == ops.param_count(ops.STEM, ctx) and not inst.reads_relu
 
 
 def test_zero_forward_is_zeros_with_output_shape():

@@ -138,9 +138,10 @@ def test_resolve_workers_env_cap(monkeypatch):
     assert resolve_workers(None) == 2
     assert resolve_workers(8) == 2
     assert resolve_workers(1) == 1
-    monkeypatch.setenv("RCNAS_THREADS", "0")
-    with pytest.raises(ValueError):
-        resolve_workers(4)
+    for bad in ("0", "-2", "abc", "1e3", "2.5"):
+        monkeypatch.setenv("RCNAS_THREADS", bad)
+        with pytest.raises(ValueError, match=f"RCNAS_THREADS must be a positive integer, got '{bad}'"):
+            resolve_workers(4)
     monkeypatch.delenv("RCNAS_THREADS")
     assert resolve_workers(1) == 1
     assert resolve_workers(10**6) == (__import__("os").cpu_count() or 1)
