@@ -31,14 +31,11 @@ __all__ = [
     "Parameter",
     "Tape",
     "ShapeError",
-    "UnknownPrimitiveError",
     "NumericError",
     "GradCheckError",
     "GradCheckReport",
     "grad_check",
     "assert_finite",
-    "forward_primitive",
-    "register_primitive",
     "primitive_names",
     "relu",
     "conv2d",
@@ -67,10 +64,6 @@ class ShapeError(ValueError):
     def __init__(self, primitive: str, message: str):
         super().__init__(f"{primitive}: {message}")
         self.primitive = primitive
-
-
-class UnknownPrimitiveError(ValueError):
-    """forward_primitive was asked for an id that is not registered."""
 
 
 class NumericError(FloatingPointError):
@@ -106,9 +99,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -192,10 +182,6 @@ class Tape:
             gout, out.grad = out.grad, None
             if gout is not None:
                 _accumulate(inputs, bwd(gout))
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._consumed = False
 
 
 def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
@@ -769,52 +755,19 @@ def tensor_sum(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# primitive registry
+# primitive set
 # ---------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[..., Tensor]] = {}
-
-
-def register_primitive(name: str, fn: Callable[..., Tensor]) -> None:
-    """Register ``fn(inputs, attrs) -> Tensor`` under ``name``.
-
-    Mostly useful for tests that need a deliberately wrong backward rule.
-    """
-    _REGISTRY[name] = fn
+# The tape-recording primitives, fixed at import: the set the gradient
+# checks must cover.
+_PRIMITIVES = (
+    relu, conv2d, batch_norm, conv_bn, max_pool2d, avg_pool2d, global_avg_pool, concat, add, mul, scale,
+    crop_offset, channel_shuffle, weighted_sum, linear, softmax, cross_entropy_logits, tensor_sum,
+)
 
 
 def primitive_names() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def forward_primitive(kind: str, inputs: Sequence[Tensor], attrs: dict | None = None) -> Tensor:
-    """Apply a registered primitive by id. Unknown ids raise, as do shape
-    violations (via the primitive's own checks)."""
-    try:
-        fn = _REGISTRY[kind]
-    except KeyError:
-        raise UnknownPrimitiveError(f"unknown primitive {kind!r}; known: {', '.join(primitive_names())}") from None
-    return fn(list(inputs), dict(attrs or {}))
-
-
-register_primitive("relu", lambda ins, at: relu(ins[0]))
-register_primitive("conv2d", lambda ins, at: conv2d(ins[0], ins[1], **at))
-register_primitive("batch_norm", lambda ins, at: batch_norm(ins[0], ins[1], ins[2], **at))
-register_primitive("conv_bn", lambda ins, at: conv_bn(ins[0], ins[1], ins[2], ins[3], **at))
-register_primitive("max_pool2d", lambda ins, at: max_pool2d(ins[0], **at))
-register_primitive("avg_pool2d", lambda ins, at: avg_pool2d(ins[0], **at))
-register_primitive("global_avg_pool", lambda ins, at: global_avg_pool(ins[0]))
-register_primitive("concat", lambda ins, at: concat(ins, **at))
-register_primitive("add", lambda ins, at: add(ins[0], ins[1]))
-register_primitive("mul", lambda ins, at: mul(ins[0], ins[1]))
-register_primitive("scale", lambda ins, at: scale(ins[0], **at))
-register_primitive("crop_offset", lambda ins, at: crop_offset(ins[0], **at))
-register_primitive("channel_shuffle", lambda ins, at: channel_shuffle(ins[0], **at))
-register_primitive("weighted_sum", lambda ins, at: weighted_sum(ins[0], ins[1:]))
-register_primitive("linear", lambda ins, at: linear(ins[0], ins[1], ins[2]))
-register_primitive("softmax", lambda ins, at: softmax(ins[0], **at))
-register_primitive("cross_entropy_logits", lambda ins, at: cross_entropy_logits(ins[0], **at))
-register_primitive("tensor_sum", lambda ins, at: tensor_sum(ins[0]))
+    return tuple(sorted(f.__name__ for f in _PRIMITIVES))
 
 
 # ---------------------------------------------------------------------------

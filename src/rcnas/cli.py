@@ -486,7 +486,6 @@ def _cmd_export_dot(args) -> int:
     train, _ = _load_datasets(cfg)
     plan = _build_plan(cfg, train)
     arch = _load_arch(args.arch)
-    arch.validate(plan.templates())
     dot = cells.export_dot(arch, plan.templates())
     if args.out:
         Path(args.out).write_text(dot)

@@ -22,7 +22,6 @@ closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -137,14 +136,6 @@ class CostTable:
         if self._packed is None:
             self._packed = PackedCost.from_table(self)
         return self._packed
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.fixed.tobytes())
-        for e in self.entries:
-            h.update(f"{e.owner}:{e.kind}:{e.edge}".encode())
-            h.update(e.u.tobytes())
-        return h.hexdigest()
 
     def theta_keys(self) -> list[tuple[str, tuple[int, int]]]:
         out = []

@@ -98,7 +98,7 @@ def _paint_shape(canvas: np.ndarray, label: int, cy: int, cx: int, r: int) -> No
         canvas[diag & (np.abs(dy) <= r) & (np.abs(dx) <= r)] = 1.0
 
 
-def make_shapes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, noise: float = 0.08) -> Dataset:
+def make_shapes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:
     """Four glyph classes at random positions and scales on noisy backgrounds.
 
     Classes are not linearly separable in pixel space (positions vary), but a
@@ -119,12 +119,12 @@ def make_shapes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, noise: fl
         tint = 0.5 + 0.5 * rng.random(3)
         for c in range(3):
             images[i, c] = canvas * tint[c]
-    images += noise * rng.standard_normal(images.shape)
+    images += 0.08 * rng.standard_normal(images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset("shapes", images, labels, n_classes=4, seed=seed)
 
 
-def make_stripes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, noise: float = 0.05) -> Dataset:
+def make_stripes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:
     """Two classes: horizontal vs vertical sinusoidal gratings at random phase."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     h, w = hw
@@ -138,17 +138,17 @@ def make_stripes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, noise: f
         pattern = 0.5 + 0.5 * np.sin(freq * axis + phase)
         for c in range(3):
             images[i, c] = pattern
-    images += noise * rng.standard_normal(images.shape)
+    images += 0.05 * rng.standard_normal(images.shape)
     np.clip(images, 0.0, 1.0, out=images)
     return Dataset("stripes", images, labels, n_classes=2, seed=seed)
 
 
-def make_blobs(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, n_classes: int = 3) -> Dataset:
-    """Gaussian blobs whose count (1..n_classes) is the label."""
+def make_blobs(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:
+    """Three classes: Gaussian blobs whose count (1..3) is one more than the label."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     h, w = hw
     images = np.zeros((n, 3, h, w), dtype=np.float64)
-    labels = rng.integers(0, n_classes, size=n).astype(np.int64)
+    labels = rng.integers(0, 3, size=n).astype(np.int64)
     ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     for i in range(n):
         count = int(labels[i]) + 1
@@ -160,7 +160,7 @@ def make_blobs(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0, n_classes:
         canvas = np.clip(canvas, 0.0, 1.0)
         for c in range(3):
             images[i, c] = canvas
-    return Dataset("blobs", images, labels, n_classes=n_classes, seed=seed)
+    return Dataset("blobs", images, labels, n_classes=3, seed=seed)
 
 
 _GENERATORS = {"shapes": make_shapes, "stripes": make_stripes, "blobs": make_blobs}
@@ -200,21 +200,21 @@ def normalize(ds: Dataset, mean: np.ndarray, std: np.ndarray) -> Dataset:
 
 
 class BatchStream:
-    """Deterministic epoch-shuffled minibatches.
+    """Deterministic epoch-shuffled minibatches; the last partial batch of
+    each epoch is dropped.
 
     The permutation for epoch e is a pure function of (seed, e): it is drawn
     from a child of SeedSequence(seed) spawned at index e.
     """
 
-    def __init__(self, ds: Dataset, batch_size: int, seed: int, *, drop_last: bool = True):
+    def __init__(self, ds: Dataset, batch_size: int, seed: int):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if drop_last and batch_size > len(ds):
-            raise ValueError("batch_size exceeds dataset size with drop_last")
+        if batch_size > len(ds):
+            raise ValueError("batch_size exceeds dataset size")
         self.ds = ds
         self.batch_size = int(batch_size)
         self.seed = int(seed)
-        self.drop_last = drop_last
         self.epoch = 0
         self.pos = 0
         self._order = self._epoch_order(0)
@@ -226,13 +226,11 @@ class BatchStream:
 
     @property
     def batches_per_epoch(self) -> int:
-        n = len(self.ds)
-        return n // self.batch_size if self.drop_last else -(-n // self.batch_size)
+        return len(self.ds) // self.batch_size
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (images, labels) and advance; rolls into the next epoch as needed."""
-        limit = self.batches_per_epoch * self.batch_size if self.drop_last else len(self.ds)
-        if self.pos >= limit:
+        if self.pos >= self.batches_per_epoch * self.batch_size:
             self.epoch += 1
             self.pos = 0
             self._order = self._epoch_order(self.epoch)
@@ -284,15 +282,16 @@ def save_cifar10_binary(ds: Dataset, path: str | Path) -> None:
             fh.write(pixels[i].tobytes())
 
 
-def cutout(images: np.ndarray, rng: np.random.Generator, side: int | None = None) -> np.ndarray:
+def cutout(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Zero a random square patch per image (training-time regularizer).
 
-    Patch side defaults to h // 4.  The patch centre may fall anywhere, so the
-    zeroed region is clipped at borders the way the usual implementation does.
+    The patch side is h // 4 (at least 1).  The patch centre may fall
+    anywhere, so the zeroed region is clipped at borders the way the usual
+    implementation does.
     """
     out = images.copy()
     n, _, h, w = images.shape
-    s = side if side is not None else max(1, h // 4)
+    s = max(1, h // 4)
     for i in range(n):
         cy = int(rng.integers(0, h))
         cx = int(rng.integers(0, w))

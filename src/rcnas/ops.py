@@ -71,8 +71,6 @@ __all__ = [
     "build",
     "layer_plan",
     "counts",
-    "param_count",
-    "flop_count",
     "UnknownOpError",
 ]
 
@@ -267,16 +265,6 @@ def counts(kind: str, ctx: OpContext) -> tuple[int, int]:
             h, w = h // stride, w // stride
             flops += 9 * c * h * w
     return params, flops
-
-
-def param_count(kind: str, ctx: OpContext) -> int:
-    """Scalar weights the op contributes under the documented conventions."""
-    return counts(kind, ctx)[0]
-
-
-def flop_count(kind: str, ctx: OpContext) -> int:
-    """Multiply-accumulate count at the op's placement."""
-    return counts(kind, ctx)[1]
 
 
 def _init_conv(rng: np.random.Generator, c_out: int, c_in_per_group: int, k: int, name: str) -> Parameter:

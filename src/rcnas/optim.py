@@ -33,28 +33,15 @@ class SGD:
             v += g
             p.data = p.data - self.lr * v
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
 
 class Adam:
-    """Adam with bias correction; defaults follow the architecture-step
-    settings (lr 3e-4, betas (0.5, 0.999), no weight decay)."""
+    """Adam with bias correction and eps 1e-8; defaults follow the
+    architecture-step settings (lr 3e-4, betas (0.5, 0.999))."""
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float = 3e-4,
-        betas: tuple[float, float] = (0.5, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[Tensor], lr: float = 3e-4, betas: tuple[float, float] = (0.5, 0.999)):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -65,16 +52,10 @@ class Adam:
         b2c = 1.0 - self.beta2**self._t
         for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             mhat = m / b1c
             vhat = v / b2c
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + 1e-8)

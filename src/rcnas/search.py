@@ -310,13 +310,13 @@ def retrain_eval(
     batch_size: int = 64,
     seed: int = 0,
     lr: float = 0.025,
-    momentum: float = 0.9,
-    weight_decay: float = 3e-4,
-    cosine: bool = True,
     use_cutout: bool = False,
-    eval_batch_size: int = 256,
 ) -> RetrainResult:
-    """Train the discrete network from scratch and report held-out accuracy."""
+    """Train the discrete network from scratch and report held-out accuracy.
+
+    One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
+    3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
+    optional cutout, and evaluation in batches of 256."""
     from .data import cutout
 
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
@@ -325,7 +325,7 @@ def retrain_eval(
     eval_n = normalize(eval_ds, mean, std)
 
     net = DiscreteNetwork(plan, arch, model_seed)
-    sgd = SGD(net.weight_params(), lr=lr, momentum=momentum, weight_decay=weight_decay)
+    sgd = SGD(net.weight_params(), lr=lr, momentum=0.9, weight_decay=3e-4)
     stream = BatchStream(train_n, batch_size, stream_seed)
     aug_rng = np.random.default_rng(np.random.SeedSequence(aug_seed))
 
@@ -333,8 +333,7 @@ def retrain_eval(
     total = epochs * steps_per_epoch
     history: list[dict] = []
     for step in range(total):
-        if cosine:
-            sgd.lr = 0.5 * lr * (1.0 + np.cos(np.pi * step / max(1, total)))
+        sgd.lr = 0.5 * lr * (1.0 + np.cos(np.pi * step / max(1, total)))
         net.zero_weight_grads()
         xb, yb = stream.next_batch()
         if use_cutout:
@@ -347,7 +346,7 @@ def retrain_eval(
         if (step + 1) % steps_per_epoch == 0:
             history.append({"epoch": (step + 1) // steps_per_epoch, "train_loss": float(loss.data)})
 
-    eval_loss, acc = evaluate(net, eval_n, batch_size=eval_batch_size)
+    eval_loss, acc = evaluate(net, eval_n, batch_size=256)
     cost_vec = exact_cost(arch, plan)
     return RetrainResult(acc, eval_loss, float(cost_vec[0]), float(cost_vec[1]), seed, history)
 

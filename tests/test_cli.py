@@ -250,8 +250,9 @@ def test_invalid_arch_document_exits_2(tmp_path):
     cfg_path.write_text(json.dumps(_tiny_config()))
     arch_path = tmp_path / "arch.json"
     arch_path.write_text(json.dumps({"schema_version": 1, "kinds": {"normal.0": {"nodes": {"2": []}}}}))
-    rc = main(["cost", "--config", str(cfg_path), "--arch", str(arch_path)])
-    assert rc == 2
+    for command in ("cost", "export-dot"):
+        rc = main([command, "--config", str(cfg_path), "--arch", str(arch_path)])
+        assert rc == 2, command
 
 
 @pytest.mark.parametrize(

@@ -41,27 +41,27 @@ def test_op_order_is_stable():
 
 def test_sep_conv3_c16_params_864():
     ctx = _ctx()
-    assert ops.param_count(ops.SEP_CONV_3, ctx) == 864  # 2 * (144 + 256 + 32)
+    assert ops.counts(ops.SEP_CONV_3, ctx)[0] == 864  # 2 * (144 + 256 + 32)
     inst = ops.build(ops.SEP_CONV_3, ctx, _rng())
     assert inst.weight_count() == 864
 
 
 def test_group_conv_g1_c16_params_288():
     ctx = _ctx()
-    assert ops.param_count(ops.GROUP_CONV_G1, ctx) == 288  # 256 conv + 32 bn
+    assert ops.counts(ops.GROUP_CONV_G1, ctx)[0] == 288  # 256 conv + 32 bn
     inst = ops.build(ops.GROUP_CONV_G1, ctx, _rng())
     assert inst.weight_count() == 288
 
 
 def test_max_pool_c4_8x8_flops_2304():
     ctx = _ctx(c_in=4, c_out=4)
-    assert ops.flop_count(ops.MAX_POOL_3, ctx) == 2304  # 9 * 4 * 64
-    assert ops.param_count(ops.MAX_POOL_3, ctx) == 0
+    assert ops.counts(ops.MAX_POOL_3, ctx)[1] == 2304  # 9 * 4 * 64
+    assert ops.counts(ops.MAX_POOL_3, ctx)[0] == 0
 
 
 def test_sep_conv3_flops_8x8():
     # per block: depthwise 9*16*64 + pointwise 16*16*64 = 25600
-    assert ops.flop_count(ops.SEP_CONV_3, _ctx()) == 51200
+    assert ops.counts(ops.SEP_CONV_3, _ctx())[1] == 51200
 
 
 def _convs(kind, ctx):
@@ -84,7 +84,7 @@ def test_dil_sep_conv_is_single_block_with_dilation_2():
     convs = _convs(ops.DIL_SEP_CONV_3, _ctx())
     assert len(convs) == 2
     assert convs[0][5] == 2  # dilation on the depthwise conv
-    assert ops.param_count(ops.DIL_SEP_CONV_3, _ctx()) == 432
+    assert ops.counts(ops.DIL_SEP_CONV_3, _ctx())[0] == 432
 
 
 def test_group_conv_applies_channel_shuffle():
@@ -133,7 +133,7 @@ def test_stem_is_a_conv_bn_plan():
     assert ops.counts(ops.STEM, ctx) == (9 * in_ch * C + 2 * C, 9 * in_ch * C * hw * hw)
     inst = ops.build(ops.STEM, ctx, _rng(), "stem")
     assert [p.name for p in inst.parameters] == ["stem.conv1.weight", "stem.bn1.gamma", "stem.bn1.beta"]
-    assert inst.weight_count() == ops.param_count(ops.STEM, ctx) and not inst.reads_relu
+    assert inst.weight_count() == ops.counts(ops.STEM, ctx)[0] and not inst.reads_relu
 
 
 def test_zero_forward_is_zeros_with_output_shape():
@@ -153,16 +153,16 @@ def test_identity_stride1_is_passthrough():
 def test_zero_and_identity_cost_nothing_at_stride1():
     ctx = _ctx(c_in=4, c_out=4)
     for kind in (ops.ZERO, ops.IDENTITY):
-        assert ops.param_count(kind, ctx) == 0
-        assert ops.flop_count(kind, ctx) == 0
+        assert ops.counts(kind, ctx)[0] == 0
+        assert ops.counts(kind, ctx)[1] == 0
 
 
 def test_factorized_reduce_params_80():
     # identity at stride 2, c8 -> c8: two 1x1 halves (2 * 8*4) + bn (16)
     ctx = _ctx(c_in=8, c_out=8, stride=2)
-    assert ops.param_count(ops.IDENTITY, ctx) == 80
+    assert ops.counts(ops.IDENTITY, ctx)[0] == 80
     # the two halves run in parallel, each at 4x4: 2 * (8*4 * 16)
-    assert ops.flop_count(ops.IDENTITY, ctx) == 1024
+    assert ops.counts(ops.IDENTITY, ctx)[1] == 1024
     inst = ops.build(ops.IDENTITY, ctx, _rng())
     assert inst.weight_count() == 80
     out = inst(Tensor(np.ones((2, 8, 8, 8))))
@@ -197,10 +197,10 @@ def _forward_counting_macs(monkeypatch, inst, x):
 def test_normal_op_count_matches_built_instance(kind, stride, monkeypatch):
     ctx = _ctx(c_in=8, c_out=8, hw=8, stride=stride)
     inst = ops.build(kind, ctx, _rng())
-    assert inst.weight_count() == ops.param_count(kind, ctx)
+    assert inst.weight_count() == ops.counts(kind, ctx)[0]
     out, macs = _forward_counting_macs(monkeypatch, inst, Tensor(_rng().standard_normal((2, 8, 8, 8))))
     assert out.shape == (2, ctx.c_out, ctx.h_out, ctx.w_out)
-    assert macs == ops.flop_count(kind, ctx)
+    assert macs == ops.counts(kind, ctx)[1]
 
 
 @pytest.mark.parametrize("kind", ops.CONNECTION_OPS)
@@ -208,10 +208,10 @@ def test_normal_op_count_matches_built_instance(kind, stride, monkeypatch):
 def test_connection_op_count_matches_built_instance(kind, c_out, stride, monkeypatch):
     ctx = ops.OpContext(c_in=8, c_out=c_out, h_in=8, w_in=8, stride=stride)
     inst = ops.build(kind, ctx, _rng())
-    assert inst.weight_count() == ops.param_count(kind, ctx)
+    assert inst.weight_count() == ops.counts(kind, ctx)[0]
     out, macs = _forward_counting_macs(monkeypatch, inst, Tensor(_rng().standard_normal((2, 8, 8, 8))))
     assert out.shape == (2, c_out, ctx.h_out, ctx.w_out)
-    assert macs == ops.flop_count(kind, ctx)
+    assert macs == ops.counts(kind, ctx)[1]
 
 
 @pytest.mark.parametrize(
@@ -222,7 +222,7 @@ def test_connection_op_count_matches_built_instance(kind, c_out, stride, monkeyp
     ],
 )
 def test_counts_and_build_reject_the_same_placements(kind, ctx):
-    for fn in (ops.param_count, ops.flop_count, ops.layer_plan):
+    for fn in (ops.counts, ops.layer_plan):
         with pytest.raises(ShapeError):
             fn(kind, ctx)
     with pytest.raises(ShapeError):
@@ -230,8 +230,8 @@ def test_counts_and_build_reject_the_same_placements(kind, ctx):
 
 
 def test_pool_flops_halve_per_axis_at_stride2():
-    s1 = ops.flop_count(ops.AVG_POOL_3, _ctx(c_in=4, c_out=4))
-    s2 = ops.flop_count(ops.AVG_POOL_3, _ctx(c_in=4, c_out=4, stride=2))
+    s1 = ops.counts(ops.AVG_POOL_3, _ctx(c_in=4, c_out=4))[1]
+    s2 = ops.counts(ops.AVG_POOL_3, _ctx(c_in=4, c_out=4, stride=2))[1]
     assert s2 * 4 == s1
 
 
@@ -246,14 +246,14 @@ def test_op_context_validation():
 
 def test_unknown_op_kind_raises():
     with pytest.raises(ops.UnknownOpError):
-        ops.param_count("transposed_conv_9x9", _ctx())
+        ops.counts("transposed_conv_9x9", _ctx())
     with pytest.raises(ops.UnknownOpError):
         ops.build("transposed_conv_9x9", _ctx(), _rng())
 
 
 def test_sep_conv_rejects_channel_change():
     with pytest.raises(ShapeError):
-        ops.param_count(ops.SEP_CONV_3, ops.OpContext(c_in=8, c_out=16, h_in=8, w_in=8))
+        ops.counts(ops.SEP_CONV_3, ops.OpContext(c_in=8, c_out=16, h_in=8, w_in=8))
 
 
 def test_input_shape_enforced():

@@ -87,10 +87,3 @@ def test_zero_lr_changes_nothing_but_counters():
     sgd.step()
     assert q.data[0] == 1.5
     assert [v.tolist() for v in sgd._velocity] == [[7.0]]
-
-
-def test_zero_grad_clears_buffers():
-    p = _param(1.0)
-    p.grad = np.array([1.0])
-    Adam([p]).zero_grad()
-    assert p.grad is None
