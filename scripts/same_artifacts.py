@@ -3,9 +3,10 @@
 
 Unpacks git revision REV into a temporary directory with ``git archive``,
 runs ``rcnas search --config configs/toy_blobs.json`` once from that copy's
-source and once from the work tree's, then compares the six primary
-artifacts with ``cmp``. Prints one line per artifact and exits 1 if any
-differs (2 if a search fails).
+source and once from the work tree's, then ``rcnas eval`` of each run's
+``arch.json`` from the same tree, and compares the six primary artifacts
+and ``eval.json`` with ``cmp``. Prints one line per artifact and exits 1
+if any differs (2 if a command fails).
 
     python3 scripts/same_artifacts.py 70327fc
 """
@@ -17,16 +18,21 @@ import sys
 import tempfile
 from pathlib import Path
 
-ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot")
+ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json")
 CONFIG = "configs/toy_blobs.json"
 WORK_TREE = Path(__file__).resolve().parent.parent
 
 
-def run_search(tree: Path, out: Path) -> None:
-    """One search from ``tree``'s own source and config, written to ``out``."""
+def run_tree(tree: Path, out: Path) -> None:
+    """One search, then an eval of its architecture, from ``tree``'s own
+    source and config, written to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "rcnas.cli", "search", "--config", CONFIG, "--out", str(out)]
-    subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+    cli = [sys.executable, "-m", "rcnas.cli"]
+    for args in (
+        ["search", "--config", CONFIG, "--out", str(out)],
+        ["eval", "--config", CONFIG, "--arch", str(out / "arch.json"), "--out", str(out / "eval.json")],
+    ):
+        subprocess.run(cli + args, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def main() -> int:
@@ -40,10 +46,10 @@ def main() -> int:
         archive = subprocess.run(["git", "archive", args.rev], cwd=WORK_TREE, check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         try:
-            run_search(base, tmp / "run_base")
-            run_search(WORK_TREE, tmp / "run_work")
+            run_tree(base, tmp / "run_base")
+            run_tree(WORK_TREE, tmp / "run_work")
         except subprocess.CalledProcessError as exc:
-            print(f"search failed: {exc}", file=sys.stderr)
+            print(f"command failed: {exc}", file=sys.stderr)
             return 2
         differ = 0
         for name in ARTIFACTS:

@@ -34,7 +34,7 @@ __all__ = [
     "normal_kind",
     "normal_template",
     "connection_template",
-    "edge_strength",
+    "theta_keys",
     "scope_edges",
     "MixedEdge",
     "mixed_edge_forward",
@@ -120,78 +120,75 @@ def connection_template(op_names: tuple[str, ...] = ops.CONNECTION_OPS) -> CellT
     return CellTemplate(n_inputs=1, n_intermediate=1, op_names=tuple(op_names), concat_output=False)
 
 
+ThetaKey = tuple[str, tuple[int, int]]
+
+
+def theta_keys(templates: dict[str, CellTemplate]) -> list[ThetaKey]:
+    """The order of the logits vectors, one per (kind, edge): kinds in
+    template order, each kind's edges in ``edges()`` order."""
+    return [(kind, edge) for kind, tpl in templates.items() for edge in tpl.edges()]
+
+
 class ArchParams:
     """One logits vector per (cell kind, edge); cells of equal kind share it."""
 
     def __init__(self, templates: dict[str, CellTemplate], rng: np.random.Generator, init_scale: float = 1e-3):
         self.templates = dict(templates)
-        self._vectors: dict[str, dict[tuple[int, int], Tensor]] = {}
-        for kind, tpl in self.templates.items():
-            per_edge = {}
-            for edge in tpl.edges():
-                per_edge[edge] = Tensor(init_scale * rng.standard_normal(tpl.n_ops), requires_grad=True)
-            self._vectors[kind] = per_edge
+        self._vectors: dict[ThetaKey, Tensor] = {
+            (kind, edge): Tensor(init_scale * rng.standard_normal(self.templates[kind].n_ops), requires_grad=True)
+            for kind, edge in theta_keys(self.templates)
+        }
 
     def vector(self, kind: str, edge: tuple[int, int]) -> Tensor:
-        return self._vectors[kind][edge]
+        return self._vectors[(kind, edge)]
 
     def items(self):
-        for kind in self._vectors:
-            for edge, t in self._vectors[kind].items():
-                yield kind, edge, t
+        for (kind, edge), t in self._vectors.items():
+            yield kind, edge, t
 
     def tensors(self) -> list[Tensor]:
-        return [t for _, _, t in self.items()]
+        return list(self._vectors.values())
 
-    def numpy(self) -> dict[tuple[str, tuple[int, int]], np.ndarray]:
-        return {(kind, edge): t.data.copy() for kind, edge, t in self.items()}
+    def numpy(self) -> dict[ThetaKey, np.ndarray]:
+        return {key: t.data.copy() for key, t in self._vectors.items()}
 
-    def load(self, values: dict[tuple[str, tuple[int, int]], np.ndarray]) -> None:
+    def load(self, values: dict[ThetaKey, np.ndarray]) -> None:
         for key, arr in values.items():
-            kind, edge = key
-            t = self._vectors[kind][edge]
+            t = self._vectors[key]
             if t.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {key}: {t.data.shape} vs {arr.shape}")
             t.data = np.asarray(arr, dtype=np.float64).copy()
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for kind, edge, t in self.items():
+        for (kind, edge), t in self._vectors.items():
             h.update(f"{kind}:{edge}".encode())
             h.update(t.data.tobytes())
         return h.hexdigest()
 
     def set_trainable(self, flag: bool) -> None:
-        for _, _, t in self.items():
+        for t in self._vectors.values():
             t.requires_grad = flag
 
 
-def edge_strength(theta: np.ndarray, zero_index: int | None) -> float:
-    """Largest mixture weight among non-zero ops; used to rank edges."""
-    z = np.asarray(theta, dtype=np.float64)
-    e = np.exp(z - z.max())
-    w = e / e.sum()
-    if zero_index is not None:
-        w = np.delete(w, zero_index)
-    return float(w.max())
-
-
-def scope_edges(
-    theta: dict[tuple[str, tuple[int, int]], np.ndarray], templates: dict[str, CellTemplate]
-) -> dict[str, frozenset]:
+def scope_edges(theta: dict[ThetaKey, np.ndarray], templates: dict[str, CellTemplate]) -> dict[str, frozenset]:
     """Edges discretization keeps, per kind: per intermediate node j, the
-    kept_per_node(j) incoming edges of largest non-zero strength, ties
-    preferring the smaller predecessor. The TopK cost scope counts the same
-    edges, and shared logits make them identical for every cell of a kind."""
+    kept_per_node(j) incoming edges of largest strength, ties preferring
+    the smaller predecessor. An edge's strength is its largest mixture
+    weight among non-zero ops; one row-wise softmax gives every edge of a
+    kind. The TopK cost scope counts the same edges, and shared logits make
+    them identical for every cell of a kind."""
     kept: dict[str, frozenset] = {}
     for kind, tpl in templates.items():
-        zi = tpl.zero_index
+        z = np.array([theta[(kind, edge)] for edge in tpl.edges()], dtype=np.float64)
+        w = np.exp(z - z.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        if tpl.zero_index is not None:
+            w = np.delete(w, tpl.zero_index, axis=1)
+        strength = dict(zip(tpl.edges(), w.max(axis=1)))
         edges = set()
         for j in tpl.intermediates:
-            ranked = sorted(
-                tpl.predecessors(j),
-                key=lambda i: (-edge_strength(theta[(kind, (i, j))], zi), i),
-            )
+            ranked = sorted(tpl.predecessors(j), key=lambda i: (-strength[(i, j)], i))
             edges.update((i, j) for i in ranked[: tpl.kept_per_node(j)])
         kept[kind] = frozenset(edges)
     return kept
@@ -371,7 +368,7 @@ class DiscreteArch:
 
 
 def derive_discrete(
-    theta: dict[tuple[str, tuple[int, int]], np.ndarray] | ArchParams,
+    theta: dict[ThetaKey, np.ndarray] | ArchParams,
     templates: dict[str, CellTemplate],
 ) -> DiscreteArch:
     """Discretize mixture logits into a concrete architecture.

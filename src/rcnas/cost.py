@@ -15,10 +15,10 @@ intermediate node count (matching what discretization will keep); under
 FullDag every edge counts.
 
 Because cells sharing a logits vector only ever add their rows, the model
-works on the per-vector sums, packed once per table into a dense
-U[key, metric, op] (see ``PackedCost``). With the scope as a boolean key
-mask, Phi = fixed + sum_k mask_k * U_k . F_k and the gradient has the
-closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
+works on the per-vector sums, which the table holds from the moment it is
+built as a dense U[key, metric, op] (see ``CostTable``). With the scope as
+a boolean key mask, Phi = fixed + sum_k mask_k * U_k . F_k and the
+gradient has the closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import cells, ops
-from .cells import scope_edges
+from .cells import ThetaKey, scope_edges
 from .network import FIXED_LINK_OP, Layout, NetworkPlan
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "CostScope",
     "ConstraintBox",
     "CostTable",
-    "PackedCost",
     "build_cost_table",
     "expected_cost",
     "cost_gradient",
@@ -121,85 +120,36 @@ class EdgeCost:
     u: np.ndarray  # (N_METRICS, n_ops)
 
 
-@dataclass
-class CostTable:
-    """theta-free cost data for a plan: per-edge op costs plus fixed costs."""
-
-    entries: list[EdgeCost]
-    fixed: np.ndarray  # (N_METRICS,)
-    templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
-    _packed: PackedCost | None = field(default=None, init=False, repr=False, compare=False)
-
-    def packed(self) -> PackedCost:
-        """The dense form of ``entries``, built at first use. The entries
-        must not change after that."""
-        if self._packed is None:
-            self._packed = PackedCost.from_table(self)
-        return self._packed
-
-    def theta_keys(self) -> list[tuple[str, tuple[int, int]]]:
-        out = []
-        for kind, tpl in self.templates.items():
-            out.extend((kind, edge) for edge in tpl.edges())
-        return out
-
-
-def _stem_classifier_costs(layout: Layout) -> np.ndarray:
-    # the stem is an op plan; the classifier is a linear layer with bias
-    K = layout.plan.n_classes
-    feat = layout.final_channels
-    stem = np.array(ops.counts(ops.STEM, layout.stem_context), dtype=np.float64)
-    return stem + np.array([feat * K + K, feat * K], dtype=np.float64)
-
-
-def build_cost_table(plan: NetworkPlan) -> CostTable:
-    """Tabulate every candidate op's cost at every slot with logits, in slot
-    order; the fixed term adds the stem, the classifier and the fixed links
-    of a plan without connection cells. Never reads theta."""
-    layout = plan.layout()
-    templates = layout.templates
-    fixed = _stem_classifier_costs(layout)
-    entries: list[EdgeCost] = []
-    for slot in layout.slots():
-        if slot.kind is None:
-            fixed += ops.counts(FIXED_LINK_OP, slot.context)
-            continue
-        tpl = templates[slot.kind]
-        u = np.zeros((N_METRICS, tpl.n_ops))
-        for oi, op_name in enumerate(tpl.op_names):
-            u[:, oi] = ops.counts(op_name, slot.context)
-        entries.append(EdgeCost(slot.prefix, slot.kind, slot.edge, slot.edge[1], u))
-    return CostTable(entries=entries, fixed=fixed, templates=templates)
-
-
-ThetaKey = tuple[str, tuple[int, int]]
 ThetaMap = dict[ThetaKey, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
-class PackedCost:
-    """A cost table's theta-free data, one row per ``theta_keys()`` entry.
+class CostTable:
+    """theta-free cost data for a plan: per-edge op costs plus fixed costs.
 
-    ``U[k, m, o]`` is metric m of op o summed over every cell that shares
-    logits vector k, zero-padded to the widest template; ``valid[k, o]``
-    marks the real ops. Logits travel as one flat vector: the keys' vectors
-    concatenated in the same order.
+    Building the table sums its entries into one row per logits vector, in
+    ``cells.theta_keys`` order: ``U[k, m, o]`` is metric m of op o summed
+    over every cell that shares vector ``keys[k]``, zero-padded to the
+    widest template; ``valid[k, o]`` marks the real ops. Logits travel as
+    one flat vector: the keys' vectors concatenated in the same order.
     """
 
-    keys: tuple[ThetaKey, ...]
-    sizes: tuple[int, ...]  # ops per key
-    U: np.ndarray  # (K, N_METRICS, O)
-    valid: np.ndarray  # (K, O) bool
+    entries: list[EdgeCost]
+    fixed: np.ndarray  # (N_METRICS,)
+    templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
+    keys: tuple[ThetaKey, ...] = field(init=False, repr=False)
+    sizes: tuple[int, ...] = field(init=False, repr=False)  # ops per key
+    U: np.ndarray = field(init=False, repr=False)  # (K, N_METRICS, O)
+    valid: np.ndarray = field(init=False, repr=False)  # (K, O) bool
 
-    @classmethod
-    def from_table(cls, table: CostTable) -> PackedCost:
-        keys = tuple(table.theta_keys())
-        sizes = tuple(table.templates[kind].n_ops for kind, _ in keys)
+    def __post_init__(self):
+        keys = tuple(cells.theta_keys(self.templates))
+        sizes = tuple(self.templates[kind].n_ops for kind, _ in keys)
         width = max(sizes, default=0)
         row = {key: k for k, key in enumerate(keys)}
-        rows = np.zeros(len(table.entries), dtype=np.intp)
-        blocks = np.zeros((len(table.entries), N_METRICS, width))
-        for i, e in enumerate(table.entries):
+        rows = np.zeros(len(self.entries), dtype=np.intp)
+        blocks = np.zeros((len(self.entries), N_METRICS, width))
+        for i, e in enumerate(self.entries):
             key = (e.kind, e.edge)
             if key not in row:
                 raise ValueError(f"cost entry {e.owner!r} has no logits vector {key!r} in the templates")
@@ -209,8 +159,13 @@ class PackedCost:
             blocks[i, :, : sizes[k]] = e.u
         U = np.zeros((len(keys), N_METRICS, width))
         np.add.at(U, rows, blocks)  # in entry order, as the cells sharing a key add up
-        valid = np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None]
-        return cls(keys, sizes, U, valid)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "valid", np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None])
+
+    def theta_keys(self) -> list[ThetaKey]:
+        return list(self.keys)
 
     def flatten(self, theta: ThetaMap) -> np.ndarray:
         """The logits map as one flat float64 vector in key order. Raises
@@ -246,10 +201,15 @@ class PackedCost:
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
-    def scope_mask(self, kept: dict[str, frozenset] | None) -> np.ndarray | None:
-        """Boolean key mask of an edge selection; None keeps every key."""
-        if kept is None:
+    def scope_mask(
+        self, theta: ThetaMap, scope: CostScope, frozen_scope: dict[str, frozenset] | None = None
+    ) -> np.ndarray | None:
+        """Boolean key mask of the edges a scope counts; None under FullDag.
+        Under TopK it marks ``frozen_scope``'s edges, or, without one, the
+        edges ``scope_edges`` keeps for ``theta``."""
+        if scope is CostScope.FULL_DAG:
             return None
+        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, self.templates)
         return np.array([edge in kept[kind] for kind, edge in self.keys], dtype=bool)
 
     def gradient(self, F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -262,12 +222,32 @@ class PackedCost:
         return g
 
 
-def _resolve_scope(theta: ThetaMap, table: CostTable, scope: CostScope, frozen_scope) -> dict[str, frozenset] | None:
-    if scope is CostScope.FULL_DAG:
-        return None
-    if frozen_scope is not None:
-        return frozen_scope
-    return scope_edges(theta, table.templates)
+def _stem_classifier_costs(layout: Layout) -> np.ndarray:
+    # the stem is an op plan; the classifier is a linear layer with bias
+    K = layout.plan.n_classes
+    feat = layout.final_channels
+    stem = np.array(ops.counts(ops.STEM, layout.stem_context), dtype=np.float64)
+    return stem + np.array([feat * K + K, feat * K], dtype=np.float64)
+
+
+def build_cost_table(plan: NetworkPlan) -> CostTable:
+    """Tabulate every candidate op's cost at every slot with logits, in slot
+    order; the fixed term adds the stem, the classifier and the fixed links
+    of a plan without connection cells. Never reads theta."""
+    layout = plan.layout()
+    templates = layout.templates
+    fixed = _stem_classifier_costs(layout)
+    entries: list[EdgeCost] = []
+    for slot in layout.slots():
+        if slot.kind is None:
+            fixed += ops.counts(FIXED_LINK_OP, slot.context)
+            continue
+        tpl = templates[slot.kind]
+        u = np.zeros((N_METRICS, tpl.n_ops))
+        for oi, op_name in enumerate(tpl.op_names):
+            u[:, oi] = ops.counts(op_name, slot.context)
+        entries.append(EdgeCost(slot.prefix, slot.kind, slot.edge, slot.edge[1], u))
+    return CostTable(entries=entries, fixed=fixed, templates=templates)
 
 
 def expected_cost(
@@ -281,10 +261,9 @@ def expected_cost(
     ``frozen_scope`` overrides the TopK edge selection; projection uses it
     to keep the active set fixed while logits move.
     """
-    packed = table.packed()
-    F = packed.softmax(packed.flatten(theta))
-    mask = packed.scope_mask(_resolve_scope(theta, table, scope, frozen_scope))
-    per_key = np.einsum("kmo,ko->km", packed.U, F)
+    F = table.softmax(table.flatten(theta))
+    mask = table.scope_mask(theta, scope, frozen_scope)
+    per_key = np.einsum("kmo,ko->km", table.U, F)
     if mask is not None:
         per_key = per_key[mask]
     return table.fixed + per_key.sum(axis=0)
@@ -295,16 +274,15 @@ def cost_gradient(
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
     frozen_scope: dict[str, frozenset] | None = None,
-) -> dict[tuple[str, tuple[int, int]], np.ndarray]:
+) -> ThetaMap:
     """dPhi/dtheta for every logits vector, shaped (N_METRICS, n_ops).
 
     Closed form per logits vector: F * (U - (U.F)) per metric, U summing
     the cells that share it; vectors outside the scope get exact zeros.
     """
-    packed = table.packed()
-    F = packed.softmax(packed.flatten(theta))
-    g = packed.gradient(F, packed.scope_mask(_resolve_scope(theta, table, scope, frozen_scope)))
-    return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(packed.keys, packed.sizes))}
+    F = table.softmax(table.flatten(theta))
+    g = table.gradient(F, table.scope_mask(theta, scope, frozen_scope))
+    return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.keys, table.sizes))}
 
 
 def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
@@ -332,10 +310,9 @@ def phi_range(table: CostTable) -> tuple[np.ndarray, np.ndarray]:
     Cells sharing a logits vector commit to the same op, so the extremes
     are taken over each vector's summed cost rows, per metric.
     """
-    packed = table.packed()
-    real = packed.valid[:, None, :]
-    lo = table.fixed + np.where(real, packed.U, np.inf).min(axis=2).sum(axis=0)
-    hi = table.fixed + np.where(real, packed.U, -np.inf).max(axis=2).sum(axis=0)
+    real = table.valid[:, None, :]
+    lo = table.fixed + np.where(real, table.U, np.inf).min(axis=2).sum(axis=0)
+    hi = table.fixed + np.where(real, table.U, -np.inf).max(axis=2).sum(axis=0)
     return lo, hi
 
 

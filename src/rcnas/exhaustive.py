@@ -144,12 +144,11 @@ def enumerate_vertex_costs(table: CostTable, ceiling: int = 200_000) -> np.ndarr
     reachable in the saturated limit.  Returns an array of shape
     (n_vertices, n_metrics) in canonical key-major order.
     """
-    packed = table.packed()
-    n = math.prod(packed.sizes)
+    n = math.prod(table.sizes)
     if n > ceiling:
         raise SpaceTooLarge(f"{n} vertices exceed ceiling {ceiling}")
     out = np.asarray(table.fixed, dtype=np.float64)[None, :]
-    for u, size in zip(packed.U, packed.sizes):
+    for u, size in zip(table.U, table.sizes):
         # every vertex so far, extended by each op of this key (key-major order)
         out = (out[:, None, :] + u[:, :size].T[None, :, :]).reshape(-1, out.shape[1])
     return out

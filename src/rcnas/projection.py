@@ -13,10 +13,11 @@ anchor so the objective stays smooth during the descent. Both penalty
 weights decay geometrically across projection rounds, and at lambda = 0
 the projection degenerates to the identity.
 
-The descent runs on the table's packed form: the logits are one flat
-vector under one Adam, each iteration evaluates Phi once at its new point,
-and that Phi serves the feasibility test, h and the next step's hinge
-coefficients, whose gradient comes straight from the packed cost rows.
+The descent keeps the logits as one flat vector under one Adam, in the
+cost table's key order. Each iteration evaluates Phi once at its new
+point, and that Phi serves the feasibility test, h and the next step's
+hinge coefficients, whose gradient comes straight from the table's
+per-vector cost rows.
 """
 from __future__ import annotations
 
@@ -142,17 +143,16 @@ def project(
     """
     lam1 = cfg.lambda1 if lambda1 is None else lambda1
     lam2 = cfg.lambda2 if lambda2 is None else lambda2
-    packed = table.packed()
-    anchor = packed.flatten(theta)
-    frozen = scope_edges(packed.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
-    mask = packed.scope_mask(frozen)
+    anchor = table.flatten(theta)
+    frozen = scope_edges(table.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
+    mask = table.scope_mask(theta, scope, frozen)
     trajectory: list[dict] = []
 
     def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
         """The one cost evaluation of an iteration: Phi and h at ``flat``,
         recorded in the trajectory, and the hinge coefficients of the next
         step."""
-        phi = expected_cost(packed.unflatten(flat), table, scope, frozen)
+        phi = expected_cost(table.unflatten(flat), table, scope, frozen)
         lower_v, upper_v = violation(phi, box)
         d = flat - anchor
         h = 0.5 * float(d @ d) + lam1 * float(lower_v.sum()) + lam2 * float(upper_v.sum())
@@ -170,10 +170,10 @@ def project(
 
     phi, h, coeff = evaluate(0, anchor)
     if box.feasible(phi, cfg.feas_tol):
-        return ProjectionResult(packed.unflatten(anchor), 0, True, phi, h, trajectory)
+        return ProjectionResult(table.unflatten(anchor), 0, True, phi, h, trajectory)
     if lam1 == 0.0 and lam2 == 0.0:
         # no penalty: h is minimized exactly at the anchor
-        return ProjectionResult(packed.unflatten(anchor), 0, False, phi, h, trajectory)
+        return ProjectionResult(table.unflatten(anchor), 0, False, phi, h, trajectory)
 
     # Adam is elementwise, so one flat holder steps exactly as one per logits vector
     holder = Tensor(anchor.copy(), requires_grad=True)
@@ -181,13 +181,13 @@ def project(
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
         if np.any(coeff != 0.0):
-            dphi = packed.gradient(packed.softmax(holder.data), mask)
-            grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[packed.valid]
+            dphi = table.gradient(table.softmax(holder.data), mask)
+            grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.valid]
         holder.grad = grad
         opt.step()
         phi, h, coeff = evaluate(it, holder.data)
         if not np.isfinite(h) or not np.all(np.isfinite(phi)):
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):
-            return ProjectionResult(packed.unflatten(holder.data), it, True, phi, h, trajectory)
-    return ProjectionResult(packed.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)
+            return ProjectionResult(table.unflatten(holder.data), it, True, phi, h, trajectory)
+    return ProjectionResult(table.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)

@@ -200,7 +200,7 @@ def run_search(
             step += 1
             digests.append(net.arch.digest())
             phi = expected_cost(net.arch.numpy(), table, scope)
-            rows.append(LogRow(step, round_idx, "search", train_loss, val_loss, *phi, lam1, lam2, box.feasible(phi), None))
+            rows.append(LogRow(step, round_idx, "search", train_loss, val_loss, *phi, lam1, lam2, box.feasible(phi, proj.feas_tol), None))
 
         res = project(net.arch.numpy(), box, table, scope, proj, lambda1=lam1, lambda2=lam2)
         net.arch.load(res.theta_p)
@@ -209,16 +209,17 @@ def run_search(
 
     theta = net.arch.numpy()
     phi = expected_cost(theta, table, scope)
+    feasible = box.feasible(phi, proj.feas_tol)
     arch = cells.derive_discrete(theta, plan.templates())
     report = {
         "steps": step,
         "rounds": round_idx,
         "phi": [float(v) for v in phi],
-        "feasible": bool(box.feasible(phi)),
+        "feasible": feasible,
         "exact_cost": [float(v) for v in exact_cost(arch, plan)],
         "wall_seconds": time.monotonic() - t0,
     }
-    return SearchResult(arch, theta, digests, rows, phi, bool(box.feasible(phi)), report)
+    return SearchResult(arch, theta, digests, rows, phi, feasible, report)
 
 
 def darts_reference_search(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig = SearchConfig()) -> SearchResult:

@@ -1,7 +1,6 @@
 """Relaxed cells: mixture forward, edge ranking, discretization, serialization."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -18,12 +17,13 @@ from rcnas.cells import (
     cell_forward,
     connection_template,
     derive_discrete,
-    edge_strength,
     export_dot,
     mixed_edge_forward,
     normal_kind,
     normal_template,
+    scope_edges,
 )
+from rcnas.network import NetworkPlan
 
 
 def _rng(seed=0):
@@ -82,21 +82,6 @@ def test_mixed_edge_theta_length_checked():
         mixed_edge_forward(Tensor(np.zeros(3)), Tensor(np.ones((1, 4, 8, 8))), edge_ops)
 
 
-def test_edge_strength_matches_inline_softmax():
-    theta = np.array([5.0, 1.0, 0.0])  # op 0 is zero in SMALL_OPS
-    exps = [math.exp(v) for v in theta]
-    total = sum(exps)
-    expected = max(exps[1] / total, exps[2] / total)
-    got = edge_strength(theta, zero_index=0)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got == pytest.approx(0.017868, rel=1e-4)
-
-
-def test_edge_strength_uniform_is_one_over_n():
-    assert edge_strength(np.zeros(8), zero_index=7) == pytest.approx(1 / 8)
-    assert edge_strength(np.zeros(4), zero_index=None) == pytest.approx(1 / 4)
-
-
 def test_connection_cell_is_single_mixed_edge():
     tpl = connection_template((ops.GROUP_CONV_G1, ops.GROUP_CONV_G2))
     edge_ops = _edge_ops((ops.GROUP_CONV_G1, ops.GROUP_CONV_G2), c=8, seed=3)
@@ -123,6 +108,82 @@ def test_cell_forward_concats_intermediates():
     # node 2 = a + b = 3; node 3 = a + b + node2 = 6 (identity saturated everywhere)
     np.testing.assert_allclose(out.data[:, :4], 3.0, atol=1e-12)
     np.testing.assert_allclose(out.data[:, 4:], 6.0, atol=1e-12)
+
+
+# --- the edge ranking against its per-edge definition
+
+
+def _reference_edge_strength(theta, zero_index):
+    """Largest mixture weight among non-zero ops, one edge at a time."""
+    z = np.asarray(theta, dtype=np.float64)
+    e = np.exp(z - z.max())
+    w = e / e.sum()
+    if zero_index is not None:
+        w = np.delete(w, zero_index)
+    return float(w.max())
+
+
+def _reference_scope_edges(theta, templates):
+    """Per node, the kept_per_node(j) strongest incoming edges, ties to the
+    smaller predecessor."""
+    kept = {}
+    for kind, tpl in templates.items():
+        edges = set()
+        for j in tpl.intermediates:
+            ranked = sorted(
+                tpl.predecessors(j),
+                key=lambda i: (-_reference_edge_strength(theta[(kind, (i, j))], tpl.zero_index), i),
+            )
+            edges.update((i, j) for i in ranked[: tpl.kept_per_node(j)])
+        kept[kind] = frozenset(edges)
+    return kept
+
+
+def _reference_choices(theta, templates):
+    """On each reference-kept edge, the first non-zero op in stable descending logit order."""
+    kept = _reference_scope_edges(theta, templates)
+    choices = {}
+    for kind, tpl in templates.items():
+        nodes = {}
+        for j in tpl.intermediates:
+            picks = []
+            for i in sorted(i for i, jj in kept[kind] if jj == j):
+                order = np.argsort(-np.asarray(theta[(kind, (i, j))], dtype=np.float64), kind="stable")
+                picks.append((i, next(tpl.op_names[o] for o in order if tpl.op_names[o] != ops.ZERO)))
+            nodes[j] = tuple(picks)
+        choices[kind] = nodes
+    return choices
+
+
+RANKING_TEMPLATES = {
+    # 8-op normal kinds beside the 4-op connect kind, which has no zero op
+    "shapes_4cell": NetworkPlan(
+        n_cells=4, init_channels=4, n_classes=4, image_hw=(16, 16), n_nodes=5, k_levels=3
+    ).templates(),
+    "zero_less": {
+        "cell": CellTemplate(n_inputs=2, n_intermediate=2, op_names=(ops.IDENTITY, ops.MAX_POOL_3, ops.AVG_POOL_3))
+    },
+}
+RANKING_LOGITS = {
+    "normal": lambda rng, n: rng.standard_normal(n),
+    "ties": lambda rng, n: rng.integers(-2, 3, size=n).astype(np.float64),
+    "zeros": lambda rng, n: np.zeros(n),
+}
+
+
+@pytest.mark.parametrize("logits", list(RANKING_LOGITS))
+@pytest.mark.parametrize("space", list(RANKING_TEMPLATES))
+def test_ranking_matches_per_edge_reference(space, logits):
+    templates = RANKING_TEMPLATES[space]
+    assert any(tpl.zero_index is None for tpl in templates.values())
+    rng = _rng(51)
+    for _ in range(25):
+        theta = {
+            (kind, edge): RANKING_LOGITS[logits](rng, templates[kind].n_ops)
+            for kind, edge in cells.theta_keys(templates)
+        }
+        assert scope_edges(theta, templates) == _reference_scope_edges(theta, templates)
+        assert derive_discrete(theta, templates).choices == _reference_choices(theta, templates)
 
 
 def test_derive_discrete_hand_case():

@@ -324,7 +324,7 @@ def test_packed_cost_matches_per_entry_reference(plan, scope):
         theta = _draw_theta(table, rng, scale=2.0)
         frozen = scope_edges(_draw_theta(table, rng), table.templates) if scope == "frozen" else None
         sc = CostScope.FULL_DAG if scope == "fulldag" else CostScope.TOP_K
-        # the packed form goes by theta_keys(), never by the map's insertion order
+        # the table goes by theta_keys(), never by the map's insertion order
         keys = list(theta)
         shuffled = {keys[i]: theta[keys[i]] for i in rng.permutation(len(keys))}
         ref_phi = _reference_expected_cost(theta, table, sc, frozen)
@@ -340,11 +340,19 @@ def test_packed_cost_matches_per_entry_reference(plan, scope):
 
 def test_packed_rows_sum_cells_sharing_logits():
     table = _single_edge_table([0.0, 1.0, 9216.0], copies=3)
-    packed = table.packed()
-    assert packed.keys == tuple(table.theta_keys())
-    np.testing.assert_array_equal(packed.U[0], 3 * table.entries[0].u)
-    np.testing.assert_array_equal(packed.U[1], 0.0)
-    assert table.packed() is packed  # built once per table
+    assert table.keys == tuple(table.theta_keys())
+    np.testing.assert_array_equal(table.U[0], 3 * table.entries[0].u)
+    np.testing.assert_array_equal(table.U[1], 0.0)
+
+
+def test_bad_entry_raises_at_construction():
+    tpl = CellTemplate(n_inputs=2, n_intermediate=1, op_names=SMALL_OPS)
+    short = EdgeCost(owner="cell0", kind="cell", edge=(0, 2), node=2, u=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="has shape"):
+        CostTable(entries=[short], fixed=np.zeros(2), templates={"cell": tpl})
+    stray = EdgeCost(owner="cell0", kind="cell", edge=(0, 3), node=3, u=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="no logits vector"):
+        CostTable(entries=[stray], fixed=np.zeros(2), templates={"cell": tpl})
 
 
 def test_vertex_costs_match_per_entry_sums():

@@ -24,11 +24,11 @@ TWO_OPS = (ops.IDENTITY, ops.MAX_POOL_3)
 THREE_OPS = (ops.ZERO, ops.IDENTITY, ops.MAX_POOL_3)
 
 
-def _one_costly_edge_table(fixed=(0.0, 0.0)):
+def _one_costly_edge_table(fixed=(0.0, 0.0), cost=100.0):
     """Node 2 with two edges; only edge (0,2) costs anything, and only in params."""
     tpl = CellTemplate(n_inputs=2, n_intermediate=1, op_names=TWO_OPS)
     entries = [
-        EdgeCost(owner="cell0", kind="cell", edge=(0, 2), node=2, u=np.array([[0.0, 100.0], [0.0, 0.0]])),
+        EdgeCost(owner="cell0", kind="cell", edge=(0, 2), node=2, u=np.array([[0.0, cost], [0.0, 0.0]])),
         EdgeCost(owner="cell0", kind="cell", edge=(1, 2), node=2, u=np.zeros((2, 2))),
     ]
     return CostTable(entries=entries, fixed=np.array(fixed), templates={"cell": tpl})
@@ -208,8 +208,7 @@ def test_topk_scope_frozen_from_anchor():
 
 
 def test_non_finite_cost_raises():
-    table = _one_costly_edge_table()
-    table.entries[0].u[0, 1] = np.nan
+    table = _one_costly_edge_table(cost=np.nan)
     theta = _uniform(table)
     with pytest.raises(ProjectionError):
         project(theta, _box(25.0), table, CostScope.FULL_DAG, cfg=ProjectionConfig(lr=3e-3, max_iters=5))

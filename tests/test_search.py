@@ -93,6 +93,21 @@ def test_unreachable_box_reports_infeasible():
     assert all(r.feasible is False for r in res.log_rows)
 
 
+def test_search_judges_feasibility_with_projection_tolerance():
+    ds = make_blobs(64, (8, 8), seed=1)
+    cfg = _cfg(epochs=1, batch_size=8, e_u=2, warm_start_multiplier=1)
+    free = run_search(_plan(), ds, ConstraintBox.unbounded(), cfg)
+    # phi is 1.25x the bound: outside at the default tolerance, inside at 0.5
+    box = ConstraintBox(np.zeros(2), 0.8 * free.phi)
+    assert not box.feasible(free.phi)
+    res = run_search(_plan(), ds, box, cfg, ProjectionConfig(feas_tol=0.5))
+    project_rows = [r for r in res.log_rows if r.phase == "project"]
+    assert len(project_rows) == 2 and all(r.proj_iters == 0 for r in project_rows)
+    np.testing.assert_array_equal(res.phi, free.phi)
+    assert all(r.feasible is True for r in res.log_rows)
+    assert res.feasible is True and res.report["feasible"] is True
+
+
 def test_degenerates_to_reference_loop_without_constraints():
     ds = make_blobs(64, (8, 8), seed=2)
     cfg = _cfg(seed=3)
