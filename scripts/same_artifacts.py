@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Check that a change leaves the search artifacts byte-identical.
+"""Check that a change leaves the search artifacts and CLI output byte-identical.
 
 Unpacks git revision REV into a temporary directory with ``git archive``,
 runs ``rcnas search --config configs/toy_blobs.json`` once from that copy's
-source and once from the work tree's, then ``rcnas eval`` of each run's
-``arch.json`` from the same tree, and compares the six primary artifacts
-and ``eval.json`` with ``cmp``. Prints one line per artifact and exits 1
-if any differs (2 if a command fails).
+source and once from the work tree's, then from the same tree ``rcnas
+eval``, ``rcnas cost`` and ``rcnas export-dot`` of each run's
+``arch.json`` and ``rcnas enumerate --config configs/micro_enumerate.json``.
+It compares with ``cmp`` the six primary artifacts, ``eval.json`` and the
+stdout of cost, export-dot and enumerate. Prints one line per output and
+exits 1 if any differs (2 if a command fails).
 
     python3 scripts/same_artifacts.py 70327fc
 """
@@ -19,20 +21,29 @@ import tempfile
 from pathlib import Path
 
 ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json")
+STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout")  # each command's stdout, kept under this name
 CONFIG = "configs/toy_blobs.json"
 WORK_TREE = Path(__file__).resolve().parent.parent
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    """One search, then an eval of its architecture, from ``tree``'s own
-    source and config, written to ``out``."""
+    """One search, then an eval, a cost report and a DOT export of its
+    architecture and an enumeration, from ``tree``'s own source and
+    configs, written to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cli = [sys.executable, "-m", "rcnas.cli"]
+    arch = str(out / "arch.json")
     for args in (
         ["search", "--config", CONFIG, "--out", str(out)],
-        ["eval", "--config", CONFIG, "--arch", str(out / "arch.json"), "--out", str(out / "eval.json")],
+        ["eval", "--config", CONFIG, "--arch", arch, "--out", str(out / "eval.json")],
     ):
         subprocess.run(cli + args, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+    for name, args in zip(STDOUT, (
+        ["cost", "--config", CONFIG, "--arch", arch],
+        ["export-dot", "--config", CONFIG, "--arch", arch],
+        ["enumerate", "--config", "configs/micro_enumerate.json"],
+    )):
+        (out / name).write_bytes(subprocess.run(cli + args, cwd=tree, env=env, check=True, capture_output=True).stdout)
 
 
 def main() -> int:
@@ -52,11 +63,11 @@ def main() -> int:
             print(f"command failed: {exc}", file=sys.stderr)
             return 2
         differ = 0
-        for name in ARTIFACTS:
+        for name in ARTIFACTS + STDOUT:
             same = subprocess.run(["cmp", "-s", str(tmp / "run_base" / name), str(tmp / "run_work" / name)]).returncode == 0
             differ += not same
             print(f"{name}: {'identical' if same else 'DIFFERS'}")
-    print(f"{len(ARTIFACTS) - differ}/{len(ARTIFACTS)} artifacts byte-identical to {args.rev}")
+    print(f"{len(ARTIFACTS) + len(STDOUT) - differ}/{len(ARTIFACTS) + len(STDOUT)} outputs byte-identical to {args.rev}")
     return 1 if differ else 0
 
 

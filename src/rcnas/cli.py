@@ -1,12 +1,13 @@
 """Command-line entry points.
 
 Subcommands: search, cost, enumerate, eval, export-dot.  Runs are driven
-by a JSON config document (validated against a strict schema; unknown
-keys are rejected).  `search` writes a manifest alongside its artifacts;
-feeding that manifest back in as --config reruns the search with the
-exact resolved settings, reproducing arch.json and the CSV logs byte for
-byte.  Timing lives only in report.json so the primary artifacts stay
-comparable.
+by a JSON config document (validated against a strict schema that also
+holds every default; unknown keys are rejected).  The --seed and --scope
+flags are laid over that document before it is validated.  `search`
+writes a manifest alongside its artifacts; feeding that manifest back in
+as --config reruns the search with the exact resolved settings,
+reproducing arch.json and the CSV logs byte for byte.  Timing lives only
+in report.json so the primary artifacts stay comparable.
 
 Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 """
@@ -14,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -51,20 +53,25 @@ class ConfigError(ValueError):
     """Configuration file failed validation or internal consistency checks."""
 
 
-_HW = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2, "maxItems": 2}
+_HW = {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 2, "maxItems": 2, "default": [16, 16]}
 _BOUND = {
     "type": "array",
     "items": {"type": ["number", "null"], "minimum": 0},
     "minItems": 2,
     "maxItems": 2,
+    "default": [None, None],
 }
 _BETAS = {
     "type": "array",
     "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     "minItems": 2,
     "maxItems": 2,
+    "default": [0.5, 0.999],
 }
 
+# Every setting is one entry: its type, its range and its default.  A
+# section's defaults are those of its properties; `paths` and `eval_paths`
+# have none and stay absent unless a config sets them.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -74,11 +81,11 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "name": {"enum": ["shapes", "stripes", "blobs", "cifar10"]},
-                "n": {"type": "integer", "minimum": 4},
-                "n_eval": {"type": "integer", "minimum": 0},
+                "name": {"enum": ["shapes", "stripes", "blobs", "cifar10"], "default": "shapes"},
+                "n": {"type": "integer", "minimum": 4, "default": 256},
+                "n_eval": {"type": "integer", "minimum": 0, "default": 0},
                 "image_hw": _HW,
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
                 "paths": {"type": "array", "items": {"type": "string"}},
                 "eval_paths": {"type": "array", "items": {"type": "string"}},
             },
@@ -87,14 +94,15 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "n_cells": {"type": "integer", "minimum": 1},
-                "init_channels": {"type": "integer", "minimum": 1},
-                "n_nodes": {"type": "integer", "minimum": 4},
-                "k_levels": {"type": "integer", "minimum": 1},
-                "use_connection": {"type": "boolean"},
+                "n_cells": {"type": "integer", "minimum": 1, "default": 4},
+                "init_channels": {"type": "integer", "minimum": 1, "default": 8},
+                "n_nodes": {"type": "integer", "minimum": 4, "default": 5},
+                "k_levels": {"type": "integer", "minimum": 1, "default": 3},
+                "use_connection": {"type": "boolean", "default": True},
                 "reduction_positions": {
                     "type": ["array", "null"],
                     "items": {"type": "integer", "minimum": 0},
+                    "default": None,
                 },
             },
         },
@@ -107,125 +115,109 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "lambda1": {"type": "number", "minimum": 0},
-                "lambda2": {"type": "number", "minimum": 0},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-                "max_iters": {"type": "integer", "minimum": 0},
-                "lr": {"type": "number", "exclusiveMinimum": 0},
+                "lambda1": {"type": "number", "minimum": 0, "default": 1.0},
+                "lambda2": {"type": "number", "minimum": 0, "default": 1.0},
+                "gamma": {"type": "number", "exclusiveMinimum": 0, "default": 0.98},
+                "max_iters": {"type": "integer", "minimum": 0, "default": 500},
+                "lr": {"type": "number", "exclusiveMinimum": 0, "default": 3e-4},
                 "betas": _BETAS,
-                "feas_tol": {"type": "number", "minimum": 0},
+                "feas_tol": {"type": "number", "minimum": 0, "default": 1e-6},
             },
         },
         "search": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "epochs": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "e_u": {"type": "integer", "minimum": 1},
-                "warm_start_multiplier": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "val_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "w_lr": {"type": "number", "exclusiveMinimum": 0},
-                "w_momentum": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "w_weight_decay": {"type": "number", "minimum": 0},
-                "theta_lr": {"type": "number", "exclusiveMinimum": 0},
+                "epochs": {"type": "integer", "minimum": 1, "default": 2},
+                "batch_size": {"type": "integer", "minimum": 1, "default": 16},
+                "e_u": {"type": "integer", "minimum": 1, "default": 8},
+                "warm_start_multiplier": {"type": "integer", "minimum": 1, "default": 2},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
+                "val_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.5},
+                "w_lr": {"type": "number", "exclusiveMinimum": 0, "default": 0.025},
+                "w_momentum": {"type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.9},
+                "w_weight_decay": {"type": "number", "minimum": 0, "default": 3e-4},
+                "theta_lr": {"type": "number", "exclusiveMinimum": 0, "default": 3e-4},
                 "theta_betas": _BETAS,
-                "theta_init_scale": {"type": "number", "minimum": 0},
+                "theta_init_scale": {"type": "number", "minimum": 0, "default": 1e-3},
             },
         },
-        "scope": {"enum": ["topk", "fulldag"]},
-        "out_dir": {"type": "string"},
+        "scope": {"enum": ["topk", "fulldag"], "default": "topk"},
+        "out_dir": {"type": "string", "default": "runs/latest"},
         "eval": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "epochs": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "lr": {"type": "number", "exclusiveMinimum": 0},
-                "cutout": {"type": "boolean"},
+                "epochs": {"type": "integer", "minimum": 1, "default": 8},
+                "batch_size": {"type": "integer", "minimum": 1, "default": 32},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
+                "lr": {"type": "number", "exclusiveMinimum": 0, "default": 0.025},
+                "cutout": {"type": "boolean", "default": False},
             },
         },
         "enumerate": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "ceiling": {"type": "integer", "minimum": 1},
-                "score": {"type": "boolean"},
-                "workers": {"type": "integer", "minimum": 1},
+                "ceiling": {"type": "integer", "minimum": 1, "default": 10_000},
+                "score": {"type": "boolean", "default": False},
+                "workers": {"type": "integer", "minimum": 1, "default": 1},
             },
         },
     },
 }
 
-DEFAULT_CONFIG = {
-    "data": {"name": "shapes", "n": 256, "n_eval": 0, "image_hw": [16, 16], "seed": 0},
-    "plan": {
-        "n_cells": 4,
-        "init_channels": 8,
-        "n_nodes": 5,
-        "k_levels": 3,
-        "use_connection": True,
-        "reduction_positions": None,
-    },
-    "constraints": {"lower": [None, None], "upper": [None, None]},
-    "projection": {
-        "lambda1": 1.0,
-        "lambda2": 1.0,
-        "gamma": 0.98,
-        "max_iters": 500,
-        "lr": 3e-4,
-        "betas": [0.5, 0.999],
-        "feas_tol": 1e-6,
-    },
-    "search": {
-        "epochs": 2,
-        "batch_size": 16,
-        "e_u": 8,
-        "warm_start_multiplier": 2,
-        "seed": 0,
-        "val_fraction": 0.5,
-        "w_lr": 0.025,
-        "w_momentum": 0.9,
-        "w_weight_decay": 3e-4,
-        "theta_lr": 3e-4,
-        "theta_betas": [0.5, 0.999],
-        "theta_init_scale": 1e-3,
-    },
-    "scope": "topk",
-    "out_dir": "runs/latest",
-    "eval": {"epochs": 8, "batch_size": 32, "seed": 0, "lr": 0.025, "cutout": False},
-    "enumerate": {"ceiling": 10_000, "score": False, "workers": 1},
-}
+
+def _defaults(schema: dict) -> dict:
+    """A fresh document of the defaults in ``schema``, sections nested."""
+    out = {}
+    for key, prop in schema["properties"].items():
+        if "default" in prop:
+            out[key] = copy.deepcopy(prop["default"])
+        elif "properties" in prop:
+            out[key] = _defaults(prop)
+    return out
+
+
+DEFAULT_CONFIG = _defaults(CONFIG_SCHEMA)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
+    """``base`` with ``override`` laid over it, objects key by key.  An
+    object is not laid over a value of another type: that value stays, for
+    the schema to reject."""
     out = dict(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
+        if not isinstance(val, dict):
             out[key] = val
+        elif isinstance(out.get(key, {}), dict):
+            out[key] = _deep_merge(out.get(key, {}), val)
     return out
+
+
+def _unwrap(doc: dict) -> dict:
+    """The config of a manifest (a document with a top-level "config" key)
+    from an earlier run, or ``doc`` itself."""
+    if "config" not in doc:
+        return doc
+    if not isinstance(doc["config"], dict):
+        raise ConfigError("manifest 'config' must be an object")
+    return doc["config"]
 
 
 def resolve_config(doc: dict) -> dict:
     """Validate a user config (or manifest) and fill in defaults.
 
-    A document with a top-level "config" key is treated as a manifest from
-    an earlier run and unwrapped first.
+    A manifest is unwrapped first.  The defaults are built afresh on each
+    call, so the result shares no object with DEFAULT_CONFIG.
     """
-    if "config" in doc:
-        doc = doc["config"]
-        if not isinstance(doc, dict):
-            raise ConfigError("manifest 'config' must be an object")
+    doc = _unwrap(doc)
     try:
         jsonschema.validate(doc, CONFIG_SCHEMA)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
-    return _deep_merge(DEFAULT_CONFIG, doc)
+    return _deep_merge(_defaults(CONFIG_SCHEMA), doc)
 
 
 def _load_config_file(path: str) -> dict:
@@ -263,6 +255,26 @@ def _load_datasets(cfg: dict) -> tuple[Dataset, Dataset | None]:
     return train, eval_ds
 
 
+def _load(args) -> tuple[dict, Dataset, Dataset | None, NetworkPlan]:
+    """The resolved config of a command, its datasets and its plan.
+
+    The --seed and --scope flags form an overlay laid over the file's config
+    before the one validation, so a flag value is checked, defaulted and
+    written to the manifest like a value from the file.
+    """
+    overlay = {}
+    if getattr(args, "seed", None) is not None:
+        overlay[args.seed_section] = {"seed": args.seed}
+    if getattr(args, "scope", None) is not None:
+        overlay["scope"] = args.scope
+    doc = _deep_merge(_unwrap(_load_config_file(args.config)), overlay)
+    # wrapped as a manifest again so that resolve_config unwraps only this
+    # wrapper: a manifest whose config holds a "config" key still fails
+    cfg = resolve_config({"config": doc})
+    train, eval_ds = _load_datasets(cfg)
+    return cfg, train, eval_ds, _build_plan(cfg, train)
+
+
 def _build_plan(cfg: dict, ds: Dataset) -> NetworkPlan:
     p = cfg["plan"]
     red = p["reduction_positions"]
@@ -292,16 +304,6 @@ def _build_box(cfg: dict) -> ConstraintBox:
         raise ConfigError(str(exc)) from None
 
 
-def _build_search_cfg(cfg: dict) -> SearchConfig:
-    s = cfg["search"]
-    return SearchConfig(**{**s, "theta_betas": tuple(s["theta_betas"])})
-
-
-def _build_proj_cfg(cfg: dict) -> ProjectionConfig:
-    p = cfg["projection"]
-    return ProjectionConfig(**{**p, "betas": tuple(p["betas"])})
-
-
 def _canonical_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -318,12 +320,13 @@ def _csv_cell(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows: list) -> None:
+def _csv(header: list[str], rows: list) -> str:
+    """The one CSV format, for files and stdout alike."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows([_csv_cell(x) for x in row] for row in rows)
-    path.write_text(buf.getvalue())
+    return buf.getvalue()
 
 
 # projection_trace.csv column -> the search_log.csv column it copies
@@ -332,14 +335,9 @@ _TRACE_COLUMNS = {"round": "round", "lambda1": "lambda1", "lambda2": "lambda2", 
 _COST_REPORT_COLUMNS = ["metric", "expected", "exact", "lower_bound", "upper_bound", "violation"]
 
 
-def _write_cost_report(path: Path, rows: list[dict]) -> None:
+def _cost_report_csv(rows: list[dict]) -> str:
     """One row per metric: its name, then each figure."""
-    _write_csv(path, _COST_REPORT_COLUMNS, [[r[h] for h in _COST_REPORT_COLUMNS] for r in rows])
-
-
-def _manifest_config(cfg: dict) -> dict:
-    trimmed = {k: v for k, v in cfg.items() if k != "out_dir"}
-    return trimmed
+    return _csv(_COST_REPORT_COLUMNS, [[r[h] for h in _COST_REPORT_COLUMNS] for r in rows])
 
 
 def _load_arch(path: str) -> cells.DiscreteArch:
@@ -353,29 +351,24 @@ def _load_arch(path: str) -> cells.DiscreteArch:
 
 
 def _cmd_search(args) -> int:
-    cfg = resolve_config(_load_config_file(args.config))
-    if args.seed is not None:
-        cfg["search"]["seed"] = args.seed
-    if args.scope is not None:
-        cfg["scope"] = args.scope
+    cfg, train, _, plan = _load(args)
     out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
-
-    train, _ = _load_datasets(cfg)
-    plan = _build_plan(cfg, train)
     box = _build_box(cfg)
-    scope = CostScope.parse(cfg["scope"])
-    result = run_search(plan, train, box, _build_search_cfg(cfg), _build_proj_cfg(cfg), scope)
+    s, p = cfg["search"], cfg["projection"]
+    search_cfg = SearchConfig(**{**s, "theta_betas": tuple(s["theta_betas"])})
+    proj_cfg = ProjectionConfig(**{**p, "betas": tuple(p["betas"])})
+    result = run_search(plan, train, box, search_cfg, proj_cfg, CostScope.parse(cfg["scope"]))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": "search", "version": __version__, "config": _manifest_config(cfg)}
+    manifest = {"command": "search", "version": __version__, "config": {k: v for k, v in cfg.items() if k != "out_dir"}}
     (out_dir / "manifest.json").write_text(_canonical_json(manifest))
     (out_dir / "arch.json").write_text(result.arch.to_canonical_json())
-    _write_csv(out_dir / "search_log.csv", LOG_COLUMNS, result.log_rows)
+    (out_dir / "search_log.csv").write_text(_csv(LOG_COLUMNS, result.log_rows))
     proj_rows = [[getattr(r, c) for c in _TRACE_COLUMNS.values()] for r in result.log_rows if r.phase == "project"]
-    _write_csv(out_dir / "projection_trace.csv", list(_TRACE_COLUMNS), proj_rows)
+    (out_dir / "projection_trace.csv").write_text(_csv(list(_TRACE_COLUMNS), proj_rows))
 
     exact = exact_cost(result.arch, plan)
-    _write_cost_report(out_dir / "cost_report.csv", cost_report_rows(result.phi, exact, box))
+    (out_dir / "cost_report.csv").write_text(_cost_report_csv(cost_report_rows(result.phi, exact, box)))
     (out_dir / "arch.dot").write_text(cells.export_dot(result.arch, plan.templates()))
     (out_dir / "report.json").write_text(_canonical_json(result.report))
     print(f"search done: {result.report['steps']} steps, feasible={result.feasible}")
@@ -384,11 +377,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    cfg = resolve_config(_load_config_file(args.config))
-    if args.scope is not None:
-        cfg["scope"] = args.scope
-    train, _ = _load_datasets(cfg)
-    plan = _build_plan(cfg, train)
+    cfg, _, _, plan = _load(args)
     box = _build_box(cfg)
     scope = CostScope.parse(cfg["scope"])
     table = build_cost_table(plan)
@@ -398,25 +387,18 @@ def _cmd_cost(args) -> int:
     theta = saturate_theta(arch, plan.templates())
     phi = expected_cost(theta, table, scope)
     exact = exact_cost(arch, plan)
-    rows = cost_report_rows(phi, exact, box)
-    print(",".join(_COST_REPORT_COLUMNS))
-    for r in rows:
-        print(",".join(str(r[h]) for h in _COST_REPORT_COLUMNS))
+    report = _cost_report_csv(cost_report_rows(phi, exact, box))
+    print(report, end="")
     if args.out:
-        _write_cost_report(Path(args.out), rows)
+        Path(args.out).write_text(report)
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    cfg = resolve_config(_load_config_file(args.config))
-    train, eval_ds = _load_datasets(cfg)
-    plan = _build_plan(cfg, train)
+    cfg, train, eval_ds, plan = _load(args)
     en = cfg["enumerate"]
     space = MicroSpace(plan, ceiling=en["ceiling"])
-    rows = []
-    for i, arch in enumerate(space.archs):
-        c = exact_cost(arch, plan)
-        rows.append([str(i), arch.arch_hash(), repr(float(c[0])), repr(float(c[1]))])
+    rows = [[i, arch.arch_hash(), *exact_cost(arch, plan)] for i, arch in enumerate(space.archs)]
     header = ["index", "arch_hash", "params", "flops"]
     if en["score"]:
         if eval_ds is None:
@@ -434,27 +416,22 @@ def _cmd_enumerate(args) -> int:
         )
         header.append("accuracy")
         for row, s in zip(rows, scores):
-            row.append(repr(float(s)))
-    out_path = Path(args.out) if args.out else None
-    if out_path:
+            row.append(s)
+    text = _csv(header, rows)
+    if args.out:
+        out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(out_path, header, rows)
+        out_path.write_text(text)
         print(f"wrote {len(rows)} architectures to {out_path}")
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(row))
+        print(text, end="")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    cfg = resolve_config(_load_config_file(args.config))
-    if args.seed is not None:
-        cfg["eval"]["seed"] = args.seed
-    train, eval_ds = _load_datasets(cfg)
+    cfg, train, eval_ds, plan = _load(args)
     if eval_ds is None:
         raise ConfigError("eval needs data.n_eval > 0 (or eval_paths)")
-    plan = _build_plan(cfg, train)
     arch = _load_arch(args.arch)
     ev = cfg["eval"]
     res = retrain_eval(
@@ -482,11 +459,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    cfg = resolve_config(_load_config_file(args.config))
-    train, _ = _load_datasets(cfg)
-    plan = _build_plan(cfg, train)
-    arch = _load_arch(args.arch)
-    dot = cells.export_dot(arch, plan.templates())
+    _, _, _, plan = _load(args)
+    dot = cells.export_dot(_load_arch(args.arch), plan.templates())
     if args.out:
         Path(args.out).write_text(dot)
         print(f"wrote {args.out}")
@@ -499,19 +473,22 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     parser = argparse.ArgumentParser(prog="rcnas", description="Cost-constrained architecture search.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand takes only the flags it reads
+    # each subcommand takes only the flags it reads; `seed` names the section
+    # whose seed --seed overrides
     def add_common(p, arch=False, needs_out=False, seed=None, scope=False):
         p.add_argument("--config", required=True, help="JSON config (or a manifest from a past run)")
         if arch:
             p.add_argument("--arch", required=True, help="architecture JSON file")
         p.add_argument("--out", default=None, help="output " + ("file" if needs_out else "directory"))
         if seed:
-            p.add_argument("--seed", type=int, default=None, help=f"override {seed}")
+            p.add_argument("--seed", type=int, default=None, help=f"override {seed}.seed")
+            p.set_defaults(seed_section=seed)
         if scope:
-            p.add_argument("--scope", choices=["topk", "fulldag"], default=None, help="cost scope override")
+            scopes = CONFIG_SCHEMA["properties"]["scope"]["enum"]
+            p.add_argument("--scope", choices=scopes, default=None, help="cost scope override")
 
     p_search = sub.add_parser("search", help="run the constrained bilevel search")
-    add_common(p_search, seed="search.seed", scope=True)
+    add_common(p_search, seed="search", scope=True)
     p_search.set_defaults(func=_cmd_search)
 
     p_cost = sub.add_parser("cost", help="cost report for an architecture")
@@ -523,7 +500,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p_enum.set_defaults(func=_cmd_enumerate)
 
     p_eval = sub.add_parser("eval", help="retrain an architecture and report accuracy")
-    add_common(p_eval, arch=True, needs_out=True, seed="eval.seed")
+    add_common(p_eval, arch=True, needs_out=True, seed="eval")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_dot = sub.add_parser("export-dot", help="render an architecture as Graphviz DOT")

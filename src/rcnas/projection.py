@@ -130,8 +130,6 @@ def project(
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
     cfg: ProjectionConfig = ProjectionConfig(),
-    lambda1: float | None = None,
-    lambda2: float | None = None,
     record_trajectory: bool = False,
 ) -> ProjectionResult:
     """Project logits into the cost box.
@@ -141,8 +139,7 @@ def project(
     at zero the gradient reduces to the proximal pull on an anchored
     start, which is zero, so the anchor is returned unchanged.
     """
-    lam1 = cfg.lambda1 if lambda1 is None else lambda1
-    lam2 = cfg.lambda2 if lambda2 is None else lambda2
+    lam1, lam2 = cfg.lambda1, cfg.lambda2
     anchor = table.flatten(theta)
     frozen = scope_edges(table.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
     mask = table.scope_mask(theta, scope, frozen)

@@ -17,7 +17,7 @@ procedure independently so the equivalence is checkable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -202,7 +202,7 @@ def run_search(
             phi = expected_cost(net.arch.numpy(), table, scope)
             rows.append(LogRow(step, round_idx, "search", train_loss, val_loss, *phi, lam1, lam2, box.feasible(phi, proj.feas_tol), None))
 
-        res = project(net.arch.numpy(), box, table, scope, proj, lambda1=lam1, lambda2=lam2)
+        res = project(net.arch.numpy(), box, table, scope, replace(proj, lambda1=lam1, lambda2=lam2))
         net.arch.load(res.theta_p)
         rows.append(LogRow(step, round_idx, "project", None, None, *res.phi, lam1, lam2, res.feasible, res.iterations))
         round_idx += 1

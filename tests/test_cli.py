@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rcnas.cells import DiscreteArch
-from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, main
+from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, main, resolve_config
 from rcnas.projection import ProjectionConfig
 from rcnas.search import LOG_COLUMNS, SearchConfig
 
@@ -217,6 +217,23 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "plant" in err
 
 
+@pytest.mark.parametrize(
+    "doc,error",
+    [
+        ({"config": {"config": _tiny_config()}}, "config invalid at <root>: Additional properties"),
+        (_tiny_config(search=5), "config invalid at search: 5 is not of type 'object'"),
+    ],
+    ids=["manifest-of-a-manifest", "section-not-an-object"],
+)
+def test_flags_leave_an_invalid_config_invalid(tmp_path, capsys, doc, error):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    for flags in ([], ["--seed", "1", "--scope", "topk"]):
+        assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")] + flags) == 2
+        assert error in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_bad_nested_value_names_path(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(_tiny_config(search={"epochs": 0})))
@@ -299,6 +316,58 @@ def test_scope_flag_round_trips_through_manifest(tmp_path):
     out2 = tmp_path / "rerun"
     assert main(["search", "--config", str(out / "manifest.json"), "--out", str(out2)]) == 0
     assert (out / "search_log.csv").read_bytes() == (out2 / "search_log.csv").read_bytes()
+
+
+def test_seed_flag_leaves_the_defaults_untouched(tmp_path):
+    # neither config has the section its --seed overrides, and each run fails
+    # after resolving it: eval for want of eval data, search on its plan
+    eval_cfg = _tiny_config(data={"n_eval": 0})
+    del eval_cfg["eval"]
+    search_cfg = _tiny_config(data={"image_hw": [6, 6]}, plan={"n_cells": 3})
+    del search_cfg["search"]
+    for command, cfg, seed in (("eval", eval_cfg, "7"), ("search", search_cfg, "9")):
+        cfg_path = tmp_path / f"{command}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / command), "--seed", seed]
+        if command == "eval":
+            argv += ["--arch", str(tmp_path / "arch.json")]
+        assert main(argv) == 2, command
+    for section in ("search", "eval"):
+        assert DEFAULT_CONFIG[section]["seed"] == 0, section
+        assert resolve_config({})[section]["seed"] == 0, section
+    # nor does a library caller that edits a resolved config
+    resolved = resolve_config({})
+    resolved["search"]["seed"] = 9
+    resolved["constraints"]["upper"][0] = 1.0
+    assert DEFAULT_CONFIG["search"]["seed"] == 0
+    assert DEFAULT_CONFIG["constraints"]["upper"] == resolve_config({})["constraints"]["upper"] == [None, None]
+
+
+@pytest.mark.parametrize("command", ["search", "eval"])
+def test_negative_seed_flag_fails_the_schema(search_run, tmp_path, capsys, command):
+    cfg_path, run = search_run
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg_path), "--out", str(out), "--seed", "-1"]
+    if command == "eval":
+        argv += ["--arch", str(run / "arch.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config invalid at {command}/seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cost", "enumerate"])
+def test_stdout_matches_the_out_file(search_run, tmp_path, capsys, command):
+    cfg_path, run = search_run
+    argv = [command, "--config", str(cfg_path)]
+    if command == "cost":
+        argv += ["--arch", str(run / "arch.json")]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -129,7 +129,7 @@ def test_feasible_anchor_returns_bit_identical():
 def test_zero_penalty_returns_anchor():
     table = _one_costly_edge_table()
     theta = _uniform(table)
-    res = project(theta, _box(25.0), table, CostScope.FULL_DAG, lambda1=0.0, lambda2=0.0)
+    res = project(theta, _box(25.0), table, CostScope.FULL_DAG, cfg=ProjectionConfig(lambda1=0.0, lambda2=0.0))
     assert not res.feasible and res.iterations == 0
     for key in theta:
         np.testing.assert_array_equal(res.theta_p[key], theta[key])
