@@ -383,15 +383,13 @@ def derive_discrete(
     kept = scope_edges(theta, templates)
     choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = {}
     for kind, tpl in templates.items():
-        nodes = {}
-        for j in tpl.intermediates:
-            picks = []
-            for i in sorted(i for i, jj in kept[kind] if jj == j):
-                order = np.argsort(-np.asarray(theta[(kind, (i, j))], dtype=np.float64), kind="stable")
-                op_idx = next(o for o in order if tpl.op_names[o] != ops.ZERO)
-                picks.append((i, tpl.op_names[op_idx]))
-            nodes[j] = tuple(picks)
-        choices[kind] = nodes
+        real = np.array([o for o, name in enumerate(tpl.op_names) if name != ops.ZERO])
+        picks: dict[int, list[tuple[int, str]]] = {j: [] for j in tpl.intermediates}
+        for i, j in sorted(kept[kind]):  # each node's predecessors in ascending order
+            # argmax returns the first maximum: ties prefer the smaller op index
+            op_idx = real[np.asarray(theta[(kind, (i, j))], dtype=np.float64)[real].argmax()]
+            picks[j].append((i, tpl.op_names[op_idx]))
+        choices[kind] = {j: tuple(p) for j, p in picks.items()}
     arch = DiscreteArch(choices)
     arch.validate(templates)
     return arch

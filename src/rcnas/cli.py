@@ -340,6 +340,16 @@ def _cost_report_csv(rows: list[dict]) -> str:
     return _csv(_COST_REPORT_COLUMNS, [[r[h] for h in _COST_REPORT_COLUMNS] for r in rows])
 
 
+def _out_file(args) -> Path | None:
+    """The --out file with its parent directory made, before any work that
+    the file would hold; None without --out."""
+    if not args.out:
+        return None
+    path = Path(args.out)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _load_arch(path: str) -> cells.DiscreteArch:
     try:
         doc = json.loads(Path(path).read_text())
@@ -378,6 +388,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_cost(args) -> int:
     cfg, _, _, plan = _load(args)
+    out = _out_file(args)
     box = _build_box(cfg)
     scope = CostScope.parse(cfg["scope"])
     table = build_cost_table(plan)
@@ -389,13 +400,14 @@ def _cmd_cost(args) -> int:
     exact = exact_cost(arch, plan)
     report = _cost_report_csv(cost_report_rows(phi, exact, box))
     print(report, end="")
-    if args.out:
-        Path(args.out).write_text(report)
+    if out:
+        out.write_text(report)
     return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
     cfg, train, eval_ds, plan = _load(args)
+    out = _out_file(args)
     en = cfg["enumerate"]
     space = MicroSpace(plan, ceiling=en["ceiling"])
     rows = [[i, arch.arch_hash(), *exact_cost(arch, plan)] for i, arch in enumerate(space.archs)]
@@ -418,11 +430,9 @@ def _cmd_enumerate(args) -> int:
         for row, s in zip(rows, scores):
             row.append(s)
     text = _csv(header, rows)
-    if args.out:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
-        print(f"wrote {len(rows)} architectures to {out_path}")
+    if out:
+        out.write_text(text)
+        print(f"wrote {len(rows)} architectures to {out}")
     else:
         print(text, end="")
     return EXIT_OK
@@ -433,6 +443,7 @@ def _cmd_eval(args) -> int:
     if eval_ds is None:
         raise ConfigError("eval needs data.n_eval > 0 (or eval_paths)")
     arch = _load_arch(args.arch)
+    out = _out_file(args)
     ev = cfg["eval"]
     res = retrain_eval(
         arch,
@@ -453,16 +464,17 @@ def _cmd_eval(args) -> int:
         "seed": res.seed,
     }
     print(_canonical_json(doc), end="")
-    if args.out:
-        Path(args.out).write_text(_canonical_json(doc))
+    if out:
+        out.write_text(_canonical_json(doc))
     return EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
     _, _, _, plan = _load(args)
+    out = _out_file(args)
     dot = cells.export_dot(_load_arch(args.arch), plan.templates())
-    if args.out:
-        Path(args.out).write_text(dot)
+    if out:
+        out.write_text(dot)
         print(f"wrote {args.out}")
     else:
         print(dot, end="")

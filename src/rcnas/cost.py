@@ -212,10 +212,17 @@ class CostTable:
         kept = frozen_scope if frozen_scope is not None else scope_edges(theta, self.templates)
         return np.array([edge in kept[kind] for kind, edge in self.keys], dtype=bool)
 
-    def gradient(self, F: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """dPhi/dtheta on the grid, (K, N_METRICS, O): F * (U - U.F), with
-        exact zeros for keys outside the mask."""
+    def evaluate(self, F: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Phi of the mixture F on the grid, and the per-key costs U.F,
+        (K, N_METRICS), it sums: Phi = fixed + the U.F rows inside the mask."""
         mean = np.einsum("kmo,ko->km", self.U, F)
+        counted = mean if mask is None else mean[mask]
+        return self.fixed + counted.sum(axis=0), mean
+
+    def gradient(self, F: np.ndarray, mean: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """dPhi/dtheta on the grid, (K, N_METRICS, O): F * (U - U.F), given
+        ``mean`` = U.F from ``evaluate``, with exact zeros for keys outside
+        the mask."""
         g = F[:, None, :] * (self.U - mean[:, :, None])
         if mask is not None:
             g[~mask] = 0.0
@@ -262,11 +269,8 @@ def expected_cost(
     to keep the active set fixed while logits move.
     """
     F = table.softmax(table.flatten(theta))
-    mask = table.scope_mask(theta, scope, frozen_scope)
-    per_key = np.einsum("kmo,ko->km", table.U, F)
-    if mask is not None:
-        per_key = per_key[mask]
-    return table.fixed + per_key.sum(axis=0)
+    phi, _ = table.evaluate(F, table.scope_mask(theta, scope, frozen_scope))
+    return phi
 
 
 def cost_gradient(
@@ -281,7 +285,9 @@ def cost_gradient(
     the cells that share it; vectors outside the scope get exact zeros.
     """
     F = table.softmax(table.flatten(theta))
-    g = table.gradient(F, table.scope_mask(theta, scope, frozen_scope))
+    mask = table.scope_mask(theta, scope, frozen_scope)
+    _, mean = table.evaluate(F, mask)
+    g = table.gradient(F, mean, mask)
     return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.keys, table.sizes))}
 
 

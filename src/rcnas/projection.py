@@ -14,10 +14,13 @@ weights decay geometrically across projection rounds, and at lambda = 0
 the projection degenerates to the identity.
 
 The descent keeps the logits as one flat vector under one Adam, in the
-cost table's key order. Each iteration evaluates Phi once at its new
-point, and that Phi serves the feasibility test, h and the next step's
-hinge coefficients, whose gradient comes straight from the table's
-per-vector cost rows.
+cost table's key order, and builds the scope mask once per call. Each
+iteration evaluates the cost table once, on that flat vector at its new
+point: one softmax F over the table's grid and one contraction U.F per
+logits vector. Phi = fixed + the U.F rows inside the mask gives h, the
+feasibility test and the next step's hinge coefficients; the same F and
+U.F give that step's gradient of Phi, F * (U - U.F) with the rows outside
+the mask zeroed, which the coefficients weight into the gradient of h.
 """
 from __future__ import annotations
 
@@ -145,11 +148,12 @@ def project(
     mask = table.scope_mask(theta, scope, frozen)
     trajectory: list[dict] = []
 
-    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
         """The one cost evaluation of an iteration: Phi and h at ``flat``,
-        recorded in the trajectory, and the hinge coefficients of the next
-        step."""
-        phi = expected_cost(table.unflatten(flat), table, scope, frozen)
+        recorded in the trajectory, the hinge coefficients of the next step,
+        and the mixture F and per-key U.F its gradient reuses."""
+        F = table.softmax(flat)
+        phi, mean = table.evaluate(F, mask)
         lower_v, upper_v = violation(phi, box)
         d = flat - anchor
         h = 0.5 * float(d @ d) + lam1 * float(lower_v.sum()) + lam2 * float(upper_v.sum())
@@ -163,9 +167,9 @@ def project(
                     "violation": float(lower_v.sum() + upper_v.sum()),
                 }
             )
-        return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2)
+        return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2), F, mean
 
-    phi, h, coeff = evaluate(0, anchor)
+    phi, h, coeff, F, mean = evaluate(0, anchor)
     if box.feasible(phi, cfg.feas_tol):
         return ProjectionResult(table.unflatten(anchor), 0, True, phi, h, trajectory)
     if lam1 == 0.0 and lam2 == 0.0:
@@ -178,11 +182,11 @@ def project(
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
         if np.any(coeff != 0.0):
-            dphi = table.gradient(table.softmax(holder.data), mask)
+            dphi = table.gradient(F, mean, mask)
             grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.valid]
         holder.grad = grad
         opt.step()
-        phi, h, coeff = evaluate(it, holder.data)
+        phi, h, coeff, F, mean = evaluate(it, holder.data)
         if not np.isfinite(h) or not np.all(np.isfinite(phi)):
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from rcnas import cli
 from rcnas.cells import DiscreteArch
 from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, main, resolve_config
 from rcnas.projection import ProjectionConfig
@@ -167,6 +168,23 @@ def test_eval_is_deterministic(search_run, tmp_path):
     doc = json.loads(res_a.read_text())
     assert set(doc) == {"accuracy", "loss", "params", "flops", "seed"}
     assert 0.0 <= doc["accuracy"] <= 1.0
+
+
+@pytest.mark.parametrize("command", ["cost", "eval", "export-dot"])
+def test_out_file_under_a_missing_directory_is_written(search_run, tmp_path, monkeypatch, command):
+    cfg_path, run = search_run
+    out = tmp_path / "new" / "deeper" / "out.txt"
+    real_retrain = cli.retrain_eval
+
+    def retrain_after_mkdir(*args, **kwargs):
+        # the directory exists before the retraining whose result it holds
+        assert out.parent.is_dir()
+        return real_retrain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "retrain_eval", retrain_after_mkdir)
+    rc = main([command, "--config", str(cfg_path), "--arch", str(run / "arch.json"), "--out", str(out)])
+    assert rc == 0
+    assert out.read_text()
 
 
 def test_enumerate_lists_whole_space(tmp_path):

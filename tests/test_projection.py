@@ -1,11 +1,14 @@
 """Penalty projection of logits into a cost box."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from rcnas import cost as cost_module
 from rcnas import ops
+from rcnas import projection as projection_module
 from rcnas.autodiff import Tensor
 from rcnas.cells import CellTemplate
 from rcnas.cost import ConstraintBox, CostScope, CostTable, EdgeCost, build_cost_table, expected_cost, scope_edges
@@ -249,14 +252,13 @@ def _shapes_4cell_table():
     return build_cost_table(plan)
 
 
-@pytest.mark.parametrize(
-    "box",
-    [
-        ConstraintBox(np.zeros(2), np.array([5000.0, 250000.0])),
-        ConstraintBox(np.array([9000.0, 0.0]), np.array([np.inf, 400000.0])),
-    ],
-    ids=["upper", "lower_params"],
-)
+_BOXES = {
+    "upper": ConstraintBox(np.zeros(2), np.array([5000.0, 250000.0])),
+    "lower_params": ConstraintBox(np.array([9000.0, 0.0]), np.array([np.inf, 400000.0])),
+}
+
+
+@pytest.mark.parametrize("box", list(_BOXES.values()), ids=list(_BOXES))
 def test_project_matches_reference_loop(box):
     table = _shapes_4cell_table()
     cfg = ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=500, lr=3e-3)
@@ -291,3 +293,75 @@ def test_project_logits_map_contract(scope):
         with pytest.raises(ValueError, match=what) as err:
             project(bad, _box(25.0), table, scope)
         assert repr(key) in str(err.value)
+
+
+# --- the bytes of project's results, pinned
+
+
+# sha256 over each seeded anchor's result, in draw order; a rewrite of the
+# descent loop must reproduce them bit for bit
+_PINNED_DIGESTS = {
+    ("topk", "lower_params", 3e-3): "0d80243cddf19cc803541b7ed2411a73383548665fe3dfe5bf62924c02db0343",
+    ("topk", "lower_params", 3e-4): "f48edcc7e85df7b25587f8542a9295297c4ecbad61822fb4d969939e0d8e6fe8",
+    ("topk", "upper", 3e-3): "b2b25f54baa031cf679093026aa27807b7ba8f4c121796d7a0a07035d5c91317",
+    ("topk", "upper", 3e-4): "a25ba4725ca0abbfee74710dade5f86b3e43299e112754ae136f9f07373cf3b1",
+    ("fulldag", "lower_params", 3e-3): "7e9e938dbaa1c8164156e351a3d31f83c4be858ed40e6e1836413ab51b7e5cb9",
+    ("fulldag", "lower_params", 3e-4): "c748a11376a48f6e5c6d4bd290b940ffd9d24f3208dbf59712e5a850a073f173",
+    ("fulldag", "upper", 3e-3): "d054616c5dff61f7cfe78fe22100b12987fd52721cacc49020375949d598d5a9",
+    ("fulldag", "upper", 3e-4): "c91a3f08e82577645417718105a778c8d09e981f30347f6ee00e7ca0eae87986",
+}
+
+
+def _result_digest(results, table):
+    h = hashlib.sha256()
+    for res in results:
+        h.update(np.int64(res.iterations).tobytes())
+        h.update(np.bool_(res.feasible).tobytes())
+        h.update(np.asarray(res.phi, dtype=np.float64).tobytes())
+        h.update(np.float64(res.objective).tobytes())
+        for key in table.theta_keys():
+            h.update(np.asarray(res.theta_p[key], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("lr", [3e-3, 3e-4])
+@pytest.mark.parametrize("box_name", sorted(_BOXES))
+@pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
+def test_project_result_bytes_are_pinned(scope, box_name, lr):
+    table = _shapes_4cell_table()
+    box = _BOXES[box_name]
+    cfg = ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=300, lr=lr)
+    rng = np.random.default_rng(np.random.SeedSequence(29))
+    anchors = [
+        {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()} for _ in range(4)
+    ]
+    plain = [project(theta, box, table, scope, cfg) for theta in anchors]
+    traced = [project(theta, box, table, scope, cfg, record_trajectory=True) for theta in anchors]
+    digest = _result_digest(plain, table)
+    assert _result_digest(traced, table) == digest
+    assert digest == _PINNED_DIGESTS[(scope.value, box_name, lr)]
+
+
+@pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
+def test_project_evaluates_the_cost_table_once_per_iteration(scope, monkeypatch):
+    table = _shapes_4cell_table()
+    box = _BOXES["upper"]
+    rng = np.random.default_rng(np.random.SeedSequence(29))
+    theta = {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()}
+    calls = {"softmax": 0, "flatten": 0, "expected_cost": 0, "cost_gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("softmax", "flatten"):
+        monkeypatch.setattr(CostTable, name, counted(name, getattr(CostTable, name)))
+    for module in (cost_module, projection_module):
+        for name in ("expected_cost", "cost_gradient"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    res = project(theta, box, table, scope, ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=300, lr=3e-3))
+    assert res.iterations > 10
+    assert calls == {"softmax": res.iterations + 1, "flatten": 1, "expected_cost": 0, "cost_gradient": 0}
