@@ -341,8 +341,9 @@ def _cost_report_csv(rows: list[dict]) -> str:
 
 
 def _out_file(args) -> Path | None:
-    """The --out file with its parent directory made, before any work that
-    the file would hold; None without --out."""
+    """The --out file with its parent directory made; None without --out.
+    Commands call it once their inputs have loaded and validated, and
+    before any costly work that the file would hold."""
     if not args.out:
         return None
     path = Path(args.out)
@@ -388,13 +389,13 @@ def _cmd_search(args) -> int:
 
 def _cmd_cost(args) -> int:
     cfg, _, _, plan = _load(args)
-    out = _out_file(args)
     box = _build_box(cfg)
     scope = CostScope.parse(cfg["scope"])
     table = build_cost_table(plan)
 
     arch = _load_arch(args.arch)
     arch.validate(plan.templates())
+    out = _out_file(args)
     theta = saturate_theta(arch, plan.templates())
     phi = expected_cost(theta, table, scope)
     exact = exact_cost(arch, plan)
@@ -471,8 +472,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     _, _, _, plan = _load(args)
-    out = _out_file(args)
     dot = cells.export_dot(_load_arch(args.arch), plan.templates())
+    out = _out_file(args)
     if out:
         out.write_text(dot)
         print(f"wrote {args.out}")

@@ -202,15 +202,16 @@ class CostTable:
         return e / e.sum(axis=1, keepdims=True)
 
     def scope_mask(
-        self, theta: ThetaMap, scope: CostScope, frozen_scope: dict[str, frozenset] | None = None
+        self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: dict[str, frozenset] | None = None
     ) -> np.ndarray | None:
         """Boolean key mask of the edges a scope counts; None under FullDag.
         Under TopK it marks ``frozen_scope``'s edges, or, without one, the
-        edges ``scope_edges`` keeps for ``theta``."""
+        edges ``scope_edges`` keeps for ``theta`` (a map or a flat vector)."""
         if scope is CostScope.FULL_DAG:
             return None
-        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, self.templates)
-        return np.array([edge in kept[kind] for kind, edge in self.keys], dtype=bool)
+        if frozen_scope is None:
+            frozen_scope = scope_edges(self.unflatten(theta) if isinstance(theta, np.ndarray) else theta, self.templates)
+        return np.array([edge in frozen_scope[kind] for kind, edge in self.keys], dtype=bool)
 
     def evaluate(self, F: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Phi of the mixture F on the grid, and the per-key costs U.F,
@@ -258,19 +259,25 @@ def build_cost_table(plan: NetworkPlan) -> CostTable:
 
 
 def expected_cost(
-    theta: ThetaMap,
+    theta: ThetaMap | np.ndarray,
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
     frozen_scope: dict[str, frozenset] | None = None,
-) -> np.ndarray:
+    grad: bool = False,
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Expected cost vector (params, flops) of the relaxed network.
 
+    ``theta`` is a logits map or its flat vector in the table's key order.
     ``frozen_scope`` overrides the TopK edge selection; projection uses it
-    to keep the active set fixed while logits move.
+    to keep the active set fixed while logits move. With ``grad`` the same
+    softmax and U.F also give dPhi/dtheta on the table's grid,
+    (K, N_METRICS, O), returned second.
     """
-    F = table.softmax(table.flatten(theta))
-    phi, _ = table.evaluate(F, table.scope_mask(theta, scope, frozen_scope))
-    return phi
+    flat = theta if isinstance(theta, np.ndarray) else table.flatten(theta)
+    F = table.softmax(flat)
+    mask = table.scope_mask(theta, scope, frozen_scope)
+    phi, mean = table.evaluate(F, mask)
+    return (phi, table.gradient(F, mean, mask)) if grad else phi
 
 
 def cost_gradient(

@@ -14,13 +14,14 @@ weights decay geometrically across projection rounds, and at lambda = 0
 the projection degenerates to the identity.
 
 The descent keeps the logits as one flat vector under one Adam, in the
-cost table's key order, and builds the scope mask once per call. Each
-iteration evaluates the cost table once, on that flat vector at its new
-point: one softmax F over the table's grid and one contraction U.F per
-logits vector. Phi = fixed + the U.F rows inside the mask gives h, the
-feasibility test and the next step's hinge coefficients; the same F and
-U.F give that step's gradient of Phi, F * (U - U.F) with the rows outside
-the mask zeroed, which the coefficients weight into the gradient of h.
+cost table's key order, and freezes the TopK edge set once per call. Each
+iteration evaluates the cost table once, with one ``expected_cost`` call on
+that flat vector at its new point: one softmax F over the table's grid, one
+contraction U.F per logits vector, Phi = fixed + the U.F rows inside the
+scope, and from the same F and U.F the gradient of Phi on the grid,
+F * (U - U.F) with the rows outside the scope zeroed. Phi gives h, the
+feasibility test and the next step's hinge coefficients, which weight that
+gradient into the gradient of h.
 """
 from __future__ import annotations
 
@@ -145,15 +146,13 @@ def project(
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     anchor = table.flatten(theta)
     frozen = scope_edges(table.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
-    mask = table.scope_mask(theta, scope, frozen)
     trajectory: list[dict] = []
 
-    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """The one cost evaluation of an iteration: Phi and h at ``flat``,
         recorded in the trajectory, the hinge coefficients of the next step,
-        and the mixture F and per-key U.F its gradient reuses."""
-        F = table.softmax(flat)
-        phi, mean = table.evaluate(F, mask)
+        and dPhi on the table's grid from the same softmax."""
+        phi, dphi = expected_cost(flat, table, scope, frozen, grad=True)
         lower_v, upper_v = violation(phi, box)
         d = flat - anchor
         h = 0.5 * float(d @ d) + lam1 * float(lower_v.sum()) + lam2 * float(upper_v.sum())
@@ -167,9 +166,9 @@ def project(
                     "violation": float(lower_v.sum() + upper_v.sum()),
                 }
             )
-        return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2), F, mean
+        return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2), dphi
 
-    phi, h, coeff, F, mean = evaluate(0, anchor)
+    phi, h, coeff, dphi = evaluate(0, anchor)
     if box.feasible(phi, cfg.feas_tol):
         return ProjectionResult(table.unflatten(anchor), 0, True, phi, h, trajectory)
     if lam1 == 0.0 and lam2 == 0.0:
@@ -182,11 +181,10 @@ def project(
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
         if np.any(coeff != 0.0):
-            dphi = table.gradient(F, mean, mask)
             grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.valid]
         holder.grad = grad
         opt.step()
-        phi, h, coeff, F, mean = evaluate(it, holder.data)
+        phi, h, coeff, dphi = evaluate(it, holder.data)
         if not np.isfinite(h) or not np.all(np.isfinite(phi)):
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):

@@ -276,8 +276,11 @@ def test_missing_config_exits_4(tmp_path):
 def test_missing_arch_exits_4(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config()))
-    rc = main(["cost", "--config", str(cfg_path), "--arch", str(tmp_path / "nope.json")])
-    assert rc == 4
+    for command in ("cost", "eval", "export-dot"):
+        out = tmp_path / command / "out.txt"
+        rc = main([command, "--config", str(cfg_path), "--arch", str(tmp_path / "nope.json"), "--out", str(out)])
+        assert rc == 4, command
+        assert not out.parent.exists(), command
 
 
 def test_invalid_arch_document_exits_2(tmp_path):
@@ -286,8 +289,11 @@ def test_invalid_arch_document_exits_2(tmp_path):
     arch_path = tmp_path / "arch.json"
     arch_path.write_text(json.dumps({"schema_version": 1, "kinds": {"normal.0": {"nodes": {"2": []}}}}))
     for command in ("cost", "export-dot"):
-        rc = main([command, "--config", str(cfg_path), "--arch", str(arch_path)])
+        out = tmp_path / command / "out.txt"
+        rc = main([command, "--config", str(cfg_path), "--arch", str(arch_path), "--out", str(out)])
         assert rc == 2, command
+        # the arch is rejected before the --out directory is made
+        assert not out.parent.exists(), command
 
 
 @pytest.mark.parametrize(

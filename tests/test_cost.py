@@ -338,6 +338,25 @@ def test_packed_cost_matches_per_entry_reference(plan, scope):
                 np.testing.assert_allclose(grads[key], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+@pytest.mark.parametrize("scope", ["topk", "fulldag", "frozen"])
+def test_flat_logits_and_grad_match_the_map_forms(scope):
+    """expected_cost on the flat vector gives the map's bytes, and with
+    grad it also returns cost_gradient's bytes on the table's grid."""
+    table = build_cost_table(SHAPES_4CELL)
+    rng = np.random.default_rng(np.random.SeedSequence(43))
+    for _ in range(4):
+        theta = _draw_theta(table, rng, scale=2.0)
+        frozen = scope_edges(_draw_theta(table, rng), table.templates) if scope == "frozen" else None
+        sc = CostScope.FULL_DAG if scope == "fulldag" else CostScope.TOP_K
+        phi = expected_cost(theta, table, sc, frozen)
+        flat_phi, grid = expected_cost(table.flatten(theta), table, sc, frozen, grad=True)
+        assert flat_phi.tobytes() == phi.tobytes()
+        assert grid.shape == table.U.shape
+        assert not grid[~table.valid[:, None, :].repeat(grid.shape[1], axis=1)].any()
+        for k, (key, g) in enumerate(cost_gradient(theta, table, sc, frozen).items()):
+            assert grid[k, :, : g.shape[1]].tobytes() == g.tobytes()
+
+
 def test_packed_rows_sum_cells_sharing_logits():
     table = _single_edge_table([0.0, 1.0, 9216.0], copies=3)
     assert table.keys == tuple(table.theta_keys())
