@@ -21,7 +21,6 @@ bit-identical outputs and gradients on every run.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,11 +30,6 @@ __all__ = [
     "Parameter",
     "Tape",
     "ShapeError",
-    "NumericError",
-    "GradCheckError",
-    "GradCheckReport",
-    "grad_check",
-    "assert_finite",
     "primitive_names",
     "relu",
     "conv2d",
@@ -64,10 +58,6 @@ class ShapeError(ValueError):
     def __init__(self, primitive: str, message: str):
         super().__init__(f"{primitive}: {message}")
         self.primitive = primitive
-
-
-class NumericError(FloatingPointError):
-    """A tensor that must be finite contained NaN or Inf."""
 
 
 class Tensor:
@@ -160,7 +150,7 @@ class Tape:
         requires a gradient and is reachable from ``loss``.
 
         A leaf is a tensor no entry of this tape produced (a Parameter, a
-        logits vector, a ``grad_check`` input); only leaves keep ``.grad``.
+        logits vector, a gradient-check input); only leaves keep ``.grad``.
         Each entry is released as soon as its rule has run: its slot becomes
         ``None`` and its output's ``.grad`` is dropped, which frees the
         closure and every array it saved. ``len(tape)`` still counts the
@@ -217,13 +207,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd: _BackwardFn) -> Tensor
 
 def _needs_grad(*tensors: Tensor) -> bool:
     return any(t.requires_grad for t in tensors)
-
-
-def assert_finite(t: Tensor, context: str = "tensor") -> None:
-    """Raise NumericError if ``t`` contains NaN or Inf."""
-    if not np.isfinite(t.data).all():
-        bad = int(np.size(t.data) - np.isfinite(t.data).sum())
-        raise NumericError(f"{context}: {bad} non-finite value(s), shape {t.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +392,14 @@ def conv2d(
     return _record(out, (x, weight), bwd_depthwise if depthwise else bwd_grouped)
 
 
-def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
+def _bn_forward(xd: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Per-channel batch statistics of ``xd`` over the batch and spatial
     axes: (output, xhat, inv, gam), the last three being all backward reads."""
     mu = xd.mean(axis=(0, 2, 3), keepdims=True)
     xc = xd - mu
     # the sum of squares np.var takes over the same mu, without a second mean
     var = (xc * xc).mean(axis=(0, 2, 3), keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     # in place here and for the output: two fewer input-sized temporaries,
     # and the same bits
     xhat = xc
@@ -445,7 +428,7 @@ def _check_bn(name: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
         raise ShapeError(name, f"gamma/beta must have shape ({x.shape[1]},)")
 
 
-def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Batch normalization with per-batch statistics (no running averages).
 
     Statistics are taken per channel over the batch and spatial axes. The
@@ -456,7 +439,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if x.ndim != 4:
         raise ShapeError("batch_norm", f"input must be 4-D, got {x.shape}")
     _check_bn("batch_norm", x, gamma, beta)
-    out_data, xhat, inv, gam = _bn_forward(x.data, gamma.data, beta.data, eps)
+    out_data, xhat, inv, gam = _bn_forward(x.data, gamma.data, beta.data)
     out = Tensor(out_data, requires_grad=_needs_grad(x, gamma, beta))
 
     def bwd(g):
@@ -474,7 +457,6 @@ def conv_bn(
     padding: int | tuple[int, int] = 0,
     dilation: int = 1,
     groups: int = 1,
-    eps: float = 1e-5,
 ) -> Tensor:
     """``batch_norm(conv2d(x, weight, ...), gamma, beta)`` as one tape entry.
 
@@ -488,7 +470,7 @@ def conv_bn(
     with Tape() as inner:
         y = conv2d(x, weight, stride, padding, dilation, groups)
     _check_bn("conv_bn", y, gamma, beta)
-    out_data, xhat, inv, gam = _bn_forward(y.data, gamma.data, beta.data, eps)
+    out_data, xhat, inv, gam = _bn_forward(y.data, gamma.data, beta.data)
     need_y = y.requires_grad
     conv_bwd = inner._entries[0][2] if need_y else None
     del y, inner
@@ -768,98 +750,3 @@ _PRIMITIVES = (
 
 def primitive_names() -> tuple[str, ...]:
     return tuple(sorted(f.__name__ for f in _PRIMITIVES))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-# ---------------------------------------------------------------------------
-
-
-class GradCheckError(RuntimeError):
-    """The function under test raised while being finite-differenced."""
-
-    def __init__(self, coordinate, message: str):
-        super().__init__(f"at coordinate {coordinate}: {message}")
-        self.coordinate = coordinate
-
-
-@dataclass
-class GradCheckReport:
-    """Result of comparing analytic gradients against central differences.
-
-    Relative errors are |analytic - numeric| / max(|analytic|, |numeric|, 1),
-    i.e. floored at unit scale so near-zero gradients are compared absolutely.
-    """
-
-    passed: bool
-    max_rel_err: float
-    tol: float
-    analytic: np.ndarray
-    numeric: np.ndarray
-    rel_err: np.ndarray
-    failures: list = field(default_factory=list)
-
-    def __str__(self) -> str:
-        if self.passed:
-            return f"grad_check passed: max rel err {self.max_rel_err:.3e} <= {self.tol:.1e}"
-        lines = [f"grad_check FAILED: max rel err {self.max_rel_err:.3e} > {self.tol:.1e}"]
-        for idx, a, n, e in self.failures[:10]:
-            lines.append(f"  coord {idx}: analytic {a:.6e} vs numeric {n:.6e} (rel {e:.3e})")
-        if len(self.failures) > 10:
-            lines.append(f"  ... and {len(self.failures) - 10} more")
-        return "\n".join(lines)
-
-
-def grad_check(
-    f: Callable[[Tensor], Tensor],
-    x: Tensor,
-    h: float = 1e-4,
-    tol: float = 1e-5,
-) -> GradCheckReport:
-    """Check d f(x) / d x against central finite differences.
-
-    ``f`` must map a Tensor to a scalar Tensor and be evaluated fresh on
-    every call (it is invoked 2*size(x) + 1 times).
-    """
-    x0 = np.asarray(x.data, dtype=np.float64).copy()
-
-    xt = Tensor(x0.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(xt)
-    if y.data.size != 1:
-        raise ShapeError("grad_check", f"f must return a scalar, got shape {y.shape}")
-    tape.backward(y)
-    analytic = xt.grad.copy() if xt.grad is not None else np.zeros_like(x0)
-
-    numeric = np.zeros_like(x0)
-    it = np.nditer(x0, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        try:
-            xp = x0.copy()
-            xp[idx] += h
-            fp = f(Tensor(xp)).item()
-            xm = x0.copy()
-            xm[idx] -= h
-            fm = f(Tensor(xm)).item()
-        except Exception as e:
-            raise GradCheckError(idx, str(e)) from e
-        numeric[idx] = (fp - fm) / (2.0 * h)
-        it.iternext()
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
-    rel = np.abs(analytic - numeric) / denom
-    max_err = float(rel.max()) if rel.size else 0.0
-    failures = []
-    if max_err > tol:
-        for idx in zip(*np.nonzero(rel > tol)):
-            failures.append((idx, float(analytic[idx]), float(numeric[idx]), float(rel[idx])))
-    return GradCheckReport(
-        passed=max_err <= tol,
-        max_rel_err=max_err,
-        tol=tol,
-        analytic=analytic,
-        numeric=numeric,
-        rel_err=rel,
-        failures=failures,
-    )

@@ -367,10 +367,7 @@ class DiscreteArch:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()
 
 
-def derive_discrete(
-    theta: dict[ThetaKey, np.ndarray] | ArchParams,
-    templates: dict[str, CellTemplate],
-) -> DiscreteArch:
+def derive_discrete(theta: dict[ThetaKey, np.ndarray], templates: dict[str, CellTemplate]) -> DiscreteArch:
     """Discretize mixture logits into a concrete architecture.
 
     Per intermediate node, keep the edges ``scope_edges`` selects, sorted
@@ -378,8 +375,6 @@ def derive_discrete(
     smaller op index). The result is invariant to adding a constant to any
     single edge's logits.
     """
-    if isinstance(theta, ArchParams):
-        theta = theta.numpy()
     kept = scope_edges(theta, templates)
     choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = {}
     for kind, tpl in templates.items():

@@ -26,7 +26,6 @@ import jsonschema
 import numpy as np
 
 from . import __version__, cells
-from .autodiff import NumericError
 from .cost import (
     ConstraintBox,
     CostScope,
@@ -205,6 +204,15 @@ def _unwrap(doc: dict) -> dict:
     return doc["config"]
 
 
+def _integers(val, path: str = ""):
+    """(path, value) of every integer in a JSON document."""
+    if isinstance(val, dict | list):
+        for key, sub in val.items() if isinstance(val, dict) else enumerate(val):
+            yield from _integers(sub, f"{path}/{key}".lstrip("/"))
+    elif isinstance(val, int):
+        yield path, val
+
+
 def resolve_config(doc: dict) -> dict:
     """Validate a user config (or manifest) and fill in defaults.
 
@@ -217,6 +225,11 @@ def resolve_config(doc: dict) -> dict:
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
+    # JSON allows integers no float64 holds, and the schema's bounds pass
+    # them, but the program reads every number as a float or a count
+    for path, val in _integers(doc):
+        if abs(val) > sys.float_info.max:
+            raise ConfigError(f"config invalid at {path}: integer too large for a float64")
     return _deep_merge(_defaults(CONFIG_SCHEMA), doc)
 
 
@@ -368,9 +381,10 @@ def _cmd_search(args) -> int:
     s, p = cfg["search"], cfg["projection"]
     search_cfg = SearchConfig(**{**s, "theta_betas": tuple(s["theta_betas"])})
     proj_cfg = ProjectionConfig(**{**p, "betas": tuple(p["betas"])})
-    result = run_search(plan, train, box, search_cfg, proj_cfg, CostScope.parse(cfg["scope"]))
-
+    # made once the config has validated and before the search it will hold
     out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_search(plan, train, box, search_cfg, proj_cfg, CostScope(cfg["scope"]))
+
     manifest = {"command": "search", "version": __version__, "config": {k: v for k, v in cfg.items() if k != "out_dir"}}
     (out_dir / "manifest.json").write_text(_canonical_json(manifest))
     (out_dir / "arch.json").write_text(result.arch.to_canonical_json())
@@ -390,7 +404,7 @@ def _cmd_search(args) -> int:
 def _cmd_cost(args) -> int:
     cfg, _, _, plan = _load(args)
     box = _build_box(cfg)
-    scope = CostScope.parse(cfg["scope"])
+    scope = CostScope(cfg["scope"])
     table = build_cost_table(plan)
 
     arch = _load_arch(args.arch)
@@ -534,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, cells.ArchFormatError, SpaceTooLarge, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SearchAbort, NumericError, ProjectionError, FloatingPointError) as exc:
+    except (SearchAbort, ProjectionError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, FormatError) as exc:

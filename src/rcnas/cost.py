@@ -54,13 +54,6 @@ class CostScope(Enum):
     FULL_DAG = "fulldag"
     TOP_K = "topk"
 
-    @classmethod
-    def parse(cls, s: str) -> "CostScope":
-        for member in cls:
-            if member.value == s.lower():
-                return member
-        raise ValueError(f"unknown cost scope {s!r}; expected one of {[m.value for m in cls]}")
-
 
 @dataclass(frozen=True)
 class ConstraintBox:

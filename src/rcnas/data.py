@@ -7,7 +7,6 @@ arguments produce identical batches regardless of consumption pattern.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "SplitSpec",
     "FormatError",
     "make_shapes",
     "make_stripes",
@@ -65,18 +63,6 @@ class Dataset:
     @property
     def channels(self) -> int:
         return int(self.images.shape[1])
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """How to carve a dataset in two: `fraction` goes to the first part."""
-
-    fraction: float = 0.5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction < 1.0:
-            raise ValueError("fraction must lie strictly between 0 and 1")
 
 
 def _paint_shape(canvas: np.ndarray, label: int, cy: int, cx: int, r: int) -> None:
@@ -173,11 +159,13 @@ def make_dataset(name: str, n: int, hw: tuple[int, int] = (16, 16), seed: int = 
     return _GENERATORS[name](n, hw=hw, seed=seed)
 
 
-def split_dataset(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split_dataset(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Disjoint shuffle-split; the first part receives `fraction` of the rows."""
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must lie strictly between 0 and 1")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     order = rng.permutation(len(ds))
-    cut = int(round(spec.fraction * len(ds)))
+    cut = int(round(fraction * len(ds)))
     if cut == 0 or cut == len(ds):
         raise ValueError("split produced an empty part")
     a, b = order[:cut], order[cut:]
@@ -269,17 +257,6 @@ def load_cifar10_binary(paths: list[str | Path], name: str = "cifar10") -> Datas
     images = np.concatenate(images_parts, axis=0)
     labels = np.concatenate(labels_parts, axis=0)
     return Dataset(name, images, labels, n_classes=10, seed=0)
-
-
-def save_cifar10_binary(ds: Dataset, path: str | Path) -> None:
-    """Inverse of load_cifar10_binary, for round-trip tests."""
-    if ds.image_hw != (_CIFAR_HW, _CIFAR_HW) or ds.channels != 3:
-        raise ValueError("dataset is not CIFAR-shaped")
-    pixels = np.clip(np.rint(ds.images * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        for i in range(len(ds)):
-            fh.write(struct.pack("B", int(ds.labels[i])))
-            fh.write(pixels[i].tobytes())
 
 
 def cutout(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:

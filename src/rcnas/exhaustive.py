@@ -187,12 +187,11 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(want, cap))
 
 
-def _score_one(args) -> tuple[str, float]:
+def _score_one(args) -> float:
     from .search import retrain_eval
 
     arch, plan, train, eval_ds, epochs, batch_size, seed = args
-    res = retrain_eval(arch, plan, train, eval_ds, epochs=epochs, batch_size=batch_size, seed=seed)
-    return arch.arch_hash(), res.accuracy
+    return retrain_eval(arch, plan, train, eval_ds, epochs=epochs, batch_size=batch_size, seed=seed).accuracy
 
 
 def score_archs(
@@ -204,30 +203,12 @@ def score_archs(
     batch_size: int = 32,
     seed: int = 0,
     workers: int | None = None,
-    cache: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """Retrain-and-evaluate accuracy for each architecture.
-
-    Results are cached by architecture hash, so duplicates (and repeated
-    calls sharing a cache) cost nothing.  Output order follows the input
-    regardless of worker scheduling.
-    """
-    cache = cache if cache is not None else {}
-    pending: list[tuple[int, DiscreteArch]] = []
-    seen: set[str] = set()
-    for i, arch in enumerate(archs):
-        h = arch.arch_hash()
-        if h not in cache and h not in seen:
-            pending.append((i, arch))
-            seen.add(h)
-
+    """Retrain-and-evaluate accuracy for each architecture, in input order
+    regardless of worker scheduling."""
     nworkers = resolve_workers(workers)
-    jobs = [(arch, plan, train, eval_ds, epochs, batch_size, seed) for _, arch in pending]
+    jobs = [(arch, plan, train, eval_ds, epochs, batch_size, seed) for arch in archs]
     if nworkers == 1 or len(jobs) <= 1:
-        results = [_score_one(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(_score_one, jobs))
-    for h, acc in results:
-        cache[h] = acc
-    return np.array([cache[a.arch_hash()] for a in archs])
+        return np.array([_score_one(j) for j in jobs])
+    with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        return np.array(list(pool.map(_score_one, jobs)))

@@ -68,8 +68,6 @@ class NetworkPlan:
     k_levels: int = 3
     use_connection: bool = True
     reduction_positions: tuple[int, ...] | None = None
-    normal_ops: tuple[str, ...] = ops.NORMAL_OPS
-    connection_ops: tuple[str, ...] = ops.CONNECTION_OPS
 
     def __post_init__(self):
         if self.n_cells < 1:
@@ -89,7 +87,7 @@ class NetworkPlan:
             # every link's channel count is a multiple of init_channels, so a
             # connection op whose plan fits init_channels fits every link;
             # a misfit raises ShapeError, a ValueError
-            for name in self.connection_ops:
+            for name in ops.CONNECTION_OPS:
                 ops.layer_plan(name, ops.OpContext(self.init_channels, self.init_channels, 1, 1))
 
     @property
@@ -118,9 +116,9 @@ class NetworkPlan:
         out: dict[str, cells.CellTemplate] = {}
         for kind in self.cell_kind_list():
             if kind not in out:
-                out[kind] = cells.normal_template(self.n_nodes, self.normal_ops)
+                out[kind] = cells.normal_template(self.n_nodes)
         if self.use_connection:
-            out[cells.CONNECT_KIND] = cells.connection_template(self.connection_ops)
+            out[cells.CONNECT_KIND] = cells.connection_template()
         return out
 
     def layout(self) -> "Layout":

@@ -26,7 +26,7 @@ from . import cells
 from .autodiff import Tape
 from .cells import DiscreteArch
 from .cost import ConstraintBox, CostScope, build_cost_table, exact_cost, expected_cost
-from .data import BatchStream, Dataset, SplitSpec, normalization_stats, normalize, split_dataset
+from .data import BatchStream, Dataset, normalization_stats, normalize, split_dataset
 from .network import DiscreteNetwork, NetworkPlan, Supernet
 from .optim import SGD, Adam
 from .projection import ProjectionConfig, decay_lambda, project
@@ -121,7 +121,7 @@ def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
     degeneration comparison starts from bit-identical state.
     """
     model_seed, split_seed, train_seed, val_seed = _derive_seeds(cfg.seed)
-    val, train = split_dataset(ds, SplitSpec(fraction=cfg.val_fraction, seed=split_seed))
+    val, train = split_dataset(ds, fraction=cfg.val_fraction, seed=split_seed)
     mean, std = normalization_stats(train)
     train = normalize(train, mean, std)
     val = normalize(val, mean, std)

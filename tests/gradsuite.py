@@ -1,19 +1,113 @@
 """Seeded gradient-check catalog shared by the unit tests and the
 acceptance gate: every engine primitive and the closed-form cost
 gradient, each exercised over at least ten seeded cases against central
-finite differences."""
+finite differences, plus ``grad_check``, the finite-difference oracle
+they run against."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from rcnas import autodiff as ad
 from rcnas import cells
-from rcnas.autodiff import Tensor, grad_check
+from rcnas.autodiff import ShapeError, Tape, Tensor
 from rcnas.cost import CostScope, CostTable, EdgeCost, cost_gradient, expected_cost, scope_edges
 
 H = 1e-4
 TOL = 1e-5
+
+
+class GradCheckError(RuntimeError):
+    """The function under test raised while being finite-differenced."""
+
+    def __init__(self, coordinate, message: str):
+        super().__init__(f"at coordinate {coordinate}: {message}")
+        self.coordinate = coordinate
+
+
+@dataclass
+class GradCheckReport:
+    """Result of comparing analytic gradients against central differences.
+
+    Relative errors are |analytic - numeric| / max(|analytic|, |numeric|, 1),
+    i.e. floored at unit scale so near-zero gradients are compared absolutely.
+    """
+
+    passed: bool
+    max_rel_err: float
+    tol: float
+    analytic: np.ndarray
+    numeric: np.ndarray
+    rel_err: np.ndarray
+    failures: list = field(default_factory=list)
+
+    def __str__(self) -> str:
+        if self.passed:
+            return f"grad_check passed: max rel err {self.max_rel_err:.3e} <= {self.tol:.1e}"
+        lines = [f"grad_check FAILED: max rel err {self.max_rel_err:.3e} > {self.tol:.1e}"]
+        for idx, a, n, e in self.failures[:10]:
+            lines.append(f"  coord {idx}: analytic {a:.6e} vs numeric {n:.6e} (rel {e:.3e})")
+        if len(self.failures) > 10:
+            lines.append(f"  ... and {len(self.failures) - 10} more")
+        return "\n".join(lines)
+
+
+def grad_check(
+    f: Callable[[Tensor], Tensor],
+    x: Tensor,
+    h: float = 1e-4,
+    tol: float = 1e-5,
+) -> GradCheckReport:
+    """Check d f(x) / d x against central finite differences.
+
+    ``f`` must map a Tensor to a scalar Tensor and be evaluated fresh on
+    every call (it is invoked 2*size(x) + 1 times).
+    """
+    x0 = np.asarray(x.data, dtype=np.float64).copy()
+
+    xt = Tensor(x0.copy(), requires_grad=True)
+    with Tape() as tape:
+        y = f(xt)
+    if y.data.size != 1:
+        raise ShapeError("grad_check", f"f must return a scalar, got shape {y.shape}")
+    tape.backward(y)
+    analytic = xt.grad.copy() if xt.grad is not None else np.zeros_like(x0)
+
+    numeric = np.zeros_like(x0)
+    it = np.nditer(x0, flags=["multi_index"])
+    while not it.finished:
+        idx = it.multi_index
+        try:
+            xp = x0.copy()
+            xp[idx] += h
+            fp = f(Tensor(xp)).item()
+            xm = x0.copy()
+            xm[idx] -= h
+            fm = f(Tensor(xm)).item()
+        except Exception as e:
+            raise GradCheckError(idx, str(e)) from e
+        numeric[idx] = (fp - fm) / (2.0 * h)
+        it.iternext()
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1.0)
+    rel = np.abs(analytic - numeric) / denom
+    max_err = float(rel.max()) if rel.size else 0.0
+    failures = []
+    if max_err > tol:
+        for idx in zip(*np.nonzero(rel > tol)):
+            failures.append((idx, float(analytic[idx]), float(numeric[idx]), float(rel[idx])))
+    return GradCheckReport(
+        passed=max_err <= tol,
+        max_rel_err=max_err,
+        tol=tol,
+        analytic=analytic,
+        numeric=numeric,
+        rel_err=rel,
+        failures=failures,
+    )
 
 
 def _rng(seed: int) -> np.random.Generator:

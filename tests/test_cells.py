@@ -253,7 +253,7 @@ def test_derive_float_shift_smoke():
 
 def test_json_round_trip_preserves_arch():
     templates = {"normal.0": normal_template(5), "connect": connection_template()}
-    arch = derive_discrete(ArchParams(templates, _rng(11), init_scale=1.0), templates)
+    arch = derive_discrete(ArchParams(templates, _rng(11), init_scale=1.0).numpy(), templates)
     text = arch.to_canonical_json()
     doc = json.loads(text)
     back = DiscreteArch.from_json_dict(doc)
@@ -264,7 +264,7 @@ def test_json_round_trip_preserves_arch():
 
 def test_canonical_json_is_sorted_with_trailing_newline():
     templates = {"connect": connection_template()}
-    arch = derive_discrete(ArchParams(templates, _rng(12)), templates)
+    arch = derive_discrete(ArchParams(templates, _rng(12)).numpy(), templates)
     text = arch.to_canonical_json()
     assert text.endswith("\n")
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
@@ -272,7 +272,7 @@ def test_canonical_json_is_sorted_with_trailing_newline():
 
 def test_validate_rejects_malformed_archs():
     templates = {"connect": connection_template()}
-    good = derive_discrete(ArchParams(templates, _rng(13)), templates)
+    good = derive_discrete(ArchParams(templates, _rng(13)).numpy(), templates)
 
     with pytest.raises(ArchFormatError):
         DiscreteArch({"other": good.choices["connect"]}).validate(templates)
@@ -339,7 +339,7 @@ def test_arch_params_trainable_toggle():
 
 def test_export_dot_lists_every_chosen_edge():
     templates = {"normal.0": normal_template(6), "connect": connection_template()}
-    arch = derive_discrete(ArchParams(templates, _rng(31), init_scale=1.0), templates)
+    arch = derive_discrete(ArchParams(templates, _rng(31), init_scale=1.0).numpy(), templates)
     dot = export_dot(arch, templates)
     assert dot.startswith("digraph")
     n_picks = sum(

@@ -1,15 +1,19 @@
 """Command-line interface: artifacts, manifest reruns, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcnas import cli
 from rcnas.cells import DiscreteArch
-from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, main, resolve_config
+from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, ConfigError, main, resolve_config
 from rcnas.projection import ProjectionConfig
 from rcnas.search import LOG_COLUMNS, SearchConfig
 
@@ -240,8 +244,11 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     [
         ({"config": {"config": _tiny_config()}}, "config invalid at <root>: Additional properties"),
         (_tiny_config(search=5), "config invalid at search: 5 is not of type 'object'"),
+        # JSON integers that no float64 holds pass the schema's bounds
+        (_tiny_config(constraints={"upper": [10**400, None]}), "config invalid at constraints/upper/0: integer too large"),
+        (_tiny_config(projection={"lambda1": 10**400}), "config invalid at projection/lambda1: integer too large"),
     ],
-    ids=["manifest-of-a-manifest", "section-not-an-object"],
+    ids=["manifest-of-a-manifest", "section-not-an-object", "bound-beyond-float64", "weight-beyond-float64"],
 )
 def test_flags_leave_an_invalid_config_invalid(tmp_path, capsys, doc, error):
     p = tmp_path / "bad.json"
@@ -281,6 +288,18 @@ def test_missing_arch_exits_4(tmp_path):
         rc = main([command, "--config", str(cfg_path), "--arch", str(tmp_path / "nope.json"), "--out", str(out)])
         assert rc == 4, command
         assert not out.parent.exists(), command
+
+
+def test_search_out_under_a_file_exits_4_before_searching(tmp_path, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched before the run directory was made")
+
+    monkeypatch.setattr(cli, "run_search", no_search)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config()))
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    assert main(["search", "--config", str(cfg_path), "--out", str(blocker / "run")]) == 4
 
 
 def test_invalid_arch_document_exits_2(tmp_path):
@@ -417,3 +436,55 @@ def test_flag_the_command_does_not_read_exits_2(tmp_path, capsys, command, flag)
     assert f"unrecognized arguments: {flag}" in err
     assert f"usage: rcnas {command}" in err
     assert "Traceback" not in err
+
+
+# any JSON value a config file can hold: NaN, the infinities and integers
+# too large for a float64 included; two of the five kinds of number are
+# small and non-negative, as most settings take
+_NUMBER = st.integers(0, 64) | st.floats(0, 1) | st.integers() | st.integers(2**1024, 2**1100) | st.floats()
+_JSON = st.recursive(
+    st.none() | st.booleans() | _NUMBER | st.text(max_size=6), lambda inner: st.lists(inner, max_size=3), max_leaves=6
+)
+# every section and setting, an unknown key and a manifest's "config" key
+_PATHS = [(name,) for name in CONFIG_SCHEMA["properties"]] + [
+    (name, key) for name, prop in CONFIG_SCHEMA["properties"].items() for key in prop.get("properties", {})
+] + [("bogus",), ("config",)]
+
+
+def _nest(entries) -> dict:
+    doc = {}
+    for path, value in entries:
+        if len(path) == 1:
+            doc[path[0]] = value
+        elif isinstance(doc.setdefault(path[0], {}), dict):
+            doc[path[0]][path[1]] = value
+    return doc
+
+
+# a few settings each, so that many documents pass the schema
+_DOCS = st.lists(st.tuples(st.sampled_from(_PATHS), _JSON), max_size=4).map(_nest)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    doc=_DOCS | _DOCS.map(lambda d: {"config": d}),
+    seed=st.none() | st.integers(0, 64) | st.integers(),
+    seed_section=st.sampled_from(["search", "eval"]),
+    scope=st.none() | st.sampled_from(CONFIG_SCHEMA["properties"]["scope"]["enum"]),
+)
+def test_any_config_document_resolves_or_raises_config_error(tmp_path_factory, doc, seed, seed_section, scope):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(doc))
+    args = argparse.Namespace(config=str(path), seed=seed, seed_section=seed_section, scope=scope)
+
+    def small_data(cfg):
+        cli._build_box(cfg)
+        # the plan reads only these from the data, so no images are made
+        return types.SimpleNamespace(n_classes=4, channels=3, image_hw=tuple(cfg["data"]["image_hw"])), None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_load_datasets", small_data)
+        try:
+            cli._load(args)  # resolve_config, the box in small_data, then _build_plan
+        except ConfigError:
+            pass

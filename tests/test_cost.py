@@ -114,7 +114,7 @@ def test_saturated_expected_equals_exact():
     plan = _micro_plan()
     table = build_cost_table(plan)
     net = Supernet(plan, seed=3, theta_init_scale=1.0)
-    arch = derive_discrete(net.arch, plan.templates())
+    arch = derive_discrete(net.arch.numpy(), plan.templates())
     theta = saturate_theta(arch, plan.templates())
     phi = expected_cost(theta, table, CostScope.TOP_K)
     np.testing.assert_allclose(phi, exact_cost(arch, plan), rtol=1e-9)
@@ -243,10 +243,10 @@ def test_frozen_scope_overrides_live_selection():
 
 
 def test_scope_parse():
-    assert CostScope.parse("topk") is CostScope.TOP_K
-    assert CostScope.parse("fulldag") is CostScope.FULL_DAG
+    assert CostScope("topk") is CostScope.TOP_K
+    assert CostScope("fulldag") is CostScope.FULL_DAG
     with pytest.raises(ValueError):
-        CostScope.parse("everything")
+        CostScope("everything")
 
 
 def test_cost_report_rows_schema():

@@ -7,7 +7,6 @@ from rcnas.data import (
     BatchStream,
     Dataset,
     FormatError,
-    SplitSpec,
     cutout,
     load_cifar10_binary,
     make_blobs,
@@ -16,7 +15,6 @@ from rcnas.data import (
     make_stripes,
     normalization_stats,
     normalize,
-    save_cifar10_binary,
     split_dataset,
 )
 
@@ -66,7 +64,7 @@ def test_dataset_validation():
 
 def test_split_is_a_partition():
     ds = make_blobs(100, (8, 8), seed=1)
-    a, b = split_dataset(ds, SplitSpec(fraction=0.5, seed=4))
+    a, b = split_dataset(ds, fraction=0.5, seed=4)
     assert len(a) == 50 and len(b) == 50
     key = lambda im, lab: sorted((im[i].tobytes(), int(lab[i])) for i in range(len(lab)))
     whole = key(ds.images, ds.labels)
@@ -76,14 +74,16 @@ def test_split_is_a_partition():
 
 def test_split_fraction_and_seed():
     ds = make_blobs(100, (8, 8), seed=1)
-    a, b = split_dataset(ds, SplitSpec(fraction=0.3, seed=4))
+    a, b = split_dataset(ds, fraction=0.3, seed=4)
     assert len(a) == 30 and len(b) == 70
-    a2, _ = split_dataset(ds, SplitSpec(fraction=0.3, seed=4))
+    a2, _ = split_dataset(ds, fraction=0.3, seed=4)
     np.testing.assert_array_equal(a.images, a2.images)
-    a3, _ = split_dataset(ds, SplitSpec(fraction=0.3, seed=5))
+    a3, _ = split_dataset(ds, fraction=0.3, seed=5)
     assert not np.array_equal(a.images, a3.images)
     with pytest.raises(ValueError):
-        split_dataset(ds, SplitSpec(fraction=0.001, seed=0))
+        split_dataset(ds, fraction=0.001, seed=0)
+    with pytest.raises(ValueError, match="strictly between 0 and 1"):
+        split_dataset(ds, fraction=1.5, seed=0)
 
 
 def test_normalization_round_trip():
@@ -182,9 +182,9 @@ def test_cifar_round_trip(tmp_path):
     rng = _rng(4)
     images = np.round(rng.random((5, 3, 32, 32)) * 255) / 255
     labels = rng.integers(0, 10, size=5).astype(np.int64)
-    ds = Dataset("cifar10", images, labels, 10, 0)
     p = tmp_path / "rt.bin"
-    save_cifar10_binary(ds, p)
+    pixels = np.rint(images * 255).astype(np.uint8).reshape(5, -1)
+    p.write_bytes(np.concatenate([labels.astype(np.uint8)[:, None], pixels], axis=1).tobytes())
     back = load_cifar10_binary([p])
     np.testing.assert_array_equal(back.labels, labels)
     np.testing.assert_allclose(back.images, images, atol=1e-12)

@@ -101,7 +101,7 @@ def test_supernet_weight_count_matches_cost_table_no_connection():
 def test_discrete_weight_count_matches_exact_cost(use_connection):
     plan = _plan(n_cells=3, image_hw=(8, 8), use_connection=use_connection)
     net = Supernet(plan, seed=1)
-    arch = cells.derive_discrete(net.arch, plan.templates())
+    arch = cells.derive_discrete(net.arch.numpy(), plan.templates())
     dnet = DiscreteNetwork(plan, arch, seed=2)
     params, _flops = exact_cost(arch, plan)
     assert dnet.weight_count() == params
@@ -141,7 +141,7 @@ GOLDEN_DIGESTS = {
 def test_weights_and_forward_match_golden_digests(use_connection):
     plan = _plan(n_cells=3, n_nodes=5, use_connection=use_connection)
     snet = Supernet(plan, seed=21)
-    arch = cells.derive_discrete(snet.arch, plan.templates())
+    arch = cells.derive_discrete(snet.arch.numpy(), plan.templates())
     dnet = DiscreteNetwork(plan, arch, seed=22)
     x = np.random.default_rng(6).standard_normal((2, 3, 8, 8))
     for name, net in (("supernet", snet), ("discrete", dnet)):
@@ -165,7 +165,7 @@ def test_forward_shapes_and_tap():
 def test_discrete_forward_shapes_and_tap():
     plan = _plan(n_cells=3)
     snet = Supernet(plan, seed=4)
-    arch = cells.derive_discrete(snet.arch, plan.templates())
+    arch = cells.derive_discrete(snet.arch.numpy(), plan.templates())
     net = DiscreteNetwork(plan, arch, seed=5)
     x = np.random.default_rng(1).standard_normal((2, 3, 8, 8))
     logits = net.forward(x)
@@ -201,7 +201,7 @@ def test_parameter_names_are_unique():
     net = Supernet(plan, seed=10)
     names = [p.name for p in net.weight_params()]
     assert len(names) == len(set(names))
-    arch = cells.derive_discrete(net.arch, plan.templates())
+    arch = cells.derive_discrete(net.arch.numpy(), plan.templates())
     dnet = DiscreteNetwork(plan, arch, seed=11)
     dnames = [p.name for p in dnet.weight_params()]
     assert len(dnames) == len(set(dnames))
@@ -329,7 +329,7 @@ FORWARD_ONLY_PEAK_BEFORE = 2313131
 
 
 def test_forward_only_discrete_peak_does_not_grow():
-    arch = cells.derive_discrete(Supernet(SHAPES_4CELL, seed=0).arch, SHAPES_4CELL.templates())
+    arch = cells.derive_discrete(Supernet(SHAPES_4CELL, seed=0).arch.numpy(), SHAPES_4CELL.templates())
     net = DiscreteNetwork(SHAPES_4CELL, arch, seed=1)
     x, _ = _shapes_batch()
     net.forward(x)  # warm the conv band cache

@@ -7,7 +7,7 @@ from rcnas import search as search_mod
 from rcnas.autodiff import Tape
 from rcnas.cells import DiscreteArch
 from rcnas.cost import ConstraintBox, CostScope
-from rcnas.data import BatchStream, make_blobs, make_shapes, normalization_stats, normalize, split_dataset, SplitSpec
+from rcnas.data import BatchStream, make_blobs, make_shapes, normalization_stats, normalize, split_dataset
 from rcnas.network import NetworkPlan
 from rcnas.optim import SGD
 from rcnas.projection import ProjectionConfig
@@ -183,7 +183,7 @@ def test_retrain_eval_beats_chance_on_blobs():
 
 def test_reference_convnet_learns_shapes_within_twenty_epochs():
     ds = make_shapes(800, (16, 16), seed=12)
-    train, val = split_dataset(ds, SplitSpec(fraction=0.8, seed=0))
+    train, val = split_dataset(ds, fraction=0.8, seed=0)
     mean, std = normalization_stats(train)
     train, val = normalize(train, mean, std), normalize(val, mean, std)
     net = ReferenceConvNet(in_channels=3, n_classes=4, channels=16, seed=0)
