@@ -56,7 +56,7 @@ def main():
         print(f"scoring with {workers} worker(s)...")
         scores = score_archs(
             space.archs, plan, train, eval_ds,
-            epochs=args.score_epochs, seed=args.seed, workers=workers,
+            epochs=args.score_epochs, batch_size=32, seed=args.seed, workers=workers,
         )
         front = pareto_front(costs, scores)
         for i, rec in enumerate(records):

@@ -70,7 +70,9 @@ _BETAS = {
 
 # Every setting is one entry: its type, its range and its default.  A
 # section's defaults are those of its properties; `paths` and `eval_paths`
-# have none and stay absent unless a config sets them.
+# have none and stay absent unless a config sets them.  The search,
+# projection, plan and eval sections hold the keywords of the one call each
+# configures (SearchConfig, ProjectionConfig, NetworkPlan, retrain_eval).
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -289,20 +291,8 @@ def _load(args) -> tuple[dict, Dataset, Dataset | None, NetworkPlan]:
 
 
 def _build_plan(cfg: dict, ds: Dataset) -> NetworkPlan:
-    p = cfg["plan"]
-    red = p["reduction_positions"]
     try:
-        return NetworkPlan(
-            n_cells=p["n_cells"],
-            init_channels=p["init_channels"],
-            n_classes=ds.n_classes,
-            in_channels=ds.channels,
-            image_hw=ds.image_hw,
-            n_nodes=p["n_nodes"],
-            k_levels=p["k_levels"],
-            use_connection=p["use_connection"],
-            reduction_positions=tuple(red) if red is not None else None,
-        )
+        return NetworkPlan(**cfg["plan"], n_classes=ds.n_classes, in_channels=ds.channels, image_hw=ds.image_hw)
     except ValueError as exc:
         raise ConfigError(f"plan incompatible with data: {exc}") from None
 
@@ -378,9 +368,8 @@ def _cmd_search(args) -> int:
     cfg, train, _, plan = _load(args)
     out_dir = Path(args.out if args.out is not None else cfg["out_dir"])
     box = _build_box(cfg)
-    s, p = cfg["search"], cfg["projection"]
-    search_cfg = SearchConfig(**{**s, "theta_betas": tuple(s["theta_betas"])})
-    proj_cfg = ProjectionConfig(**{**p, "betas": tuple(p["betas"])})
+    search_cfg = SearchConfig(**cfg["search"])
+    proj_cfg = ProjectionConfig(**cfg["projection"])
     # made once the config has validated and before the search it will hold
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_search(plan, train, box, search_cfg, proj_cfg, CostScope(cfg["scope"]))
@@ -392,7 +381,7 @@ def _cmd_search(args) -> int:
     proj_rows = [[getattr(r, c) for c in _TRACE_COLUMNS.values()] for r in result.log_rows if r.phase == "project"]
     (out_dir / "projection_trace.csv").write_text(_csv(list(_TRACE_COLUMNS), proj_rows))
 
-    exact = exact_cost(result.arch, plan)
+    exact = result.report["exact_cost"]
     (out_dir / "cost_report.csv").write_text(_cost_report_csv(cost_report_rows(result.phi, exact, box)))
     (out_dir / "arch.dot").write_text(cells.export_dot(result.arch, plan.templates()))
     (out_dir / "report.json").write_text(_canonical_json(result.report))
@@ -422,25 +411,15 @@ def _cmd_cost(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     cfg, train, eval_ds, plan = _load(args)
-    out = _out_file(args)
     en = cfg["enumerate"]
+    if en["score"] and eval_ds is None:
+        raise ConfigError("scoring needs data.n_eval > 0 (or eval_paths)")
+    out = _out_file(args)
     space = MicroSpace(plan, ceiling=en["ceiling"])
     rows = [[i, arch.arch_hash(), *exact_cost(arch, plan)] for i, arch in enumerate(space.archs)]
     header = ["index", "arch_hash", "params", "flops"]
     if en["score"]:
-        if eval_ds is None:
-            raise ConfigError("scoring needs data.n_eval > 0 (or eval_paths)")
-        ev = cfg["eval"]
-        scores = score_archs(
-            space.archs,
-            plan,
-            train,
-            eval_ds,
-            epochs=ev["epochs"],
-            batch_size=ev["batch_size"],
-            seed=ev["seed"],
-            workers=en["workers"],
-        )
+        scores = score_archs(space.archs, plan, train, eval_ds, workers=en["workers"], **cfg["eval"])
         header.append("accuracy")
         for row, s in zip(rows, scores):
             row.append(s)
@@ -459,18 +438,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError("eval needs data.n_eval > 0 (or eval_paths)")
     arch = _load_arch(args.arch)
     out = _out_file(args)
-    ev = cfg["eval"]
-    res = retrain_eval(
-        arch,
-        plan,
-        train,
-        eval_ds,
-        epochs=ev["epochs"],
-        batch_size=ev["batch_size"],
-        seed=ev["seed"],
-        lr=ev["lr"],
-        use_cutout=ev["cutout"],
-    )
+    res = retrain_eval(arch, plan, train, eval_ds, **cfg["eval"])
     doc = {
         "accuracy": res.accuracy,
         "loss": res.loss,
@@ -545,15 +513,16 @@ def main(argv: list[str] | None = None) -> int:
         commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
+    # before ValueError, which FormatError subclasses
+    except (OSError, FormatError) as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (ConfigError, cells.ArchFormatError, SpaceTooLarge, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SearchAbort, ProjectionError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, FormatError) as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -284,10 +284,7 @@ def cost_gradient(
     Closed form per logits vector: F * (U - (U.F)) per metric, U summing
     the cells that share it; vectors outside the scope get exact zeros.
     """
-    F = table.softmax(table.flatten(theta))
-    mask = table.scope_mask(theta, scope, frozen_scope)
-    _, mean = table.evaluate(F, mask)
-    g = table.gradient(F, mean, mask)
+    _, g = expected_cost(theta, table, scope, frozen_scope, grad=True)
     return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.keys, table.sizes))}
 
 

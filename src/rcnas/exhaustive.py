@@ -190,8 +190,8 @@ def resolve_workers(requested: int | None = None) -> int:
 def _score_one(args) -> float:
     from .search import retrain_eval
 
-    arch, plan, train, eval_ds, epochs, batch_size, seed = args
-    return retrain_eval(arch, plan, train, eval_ds, epochs=epochs, batch_size=batch_size, seed=seed).accuracy
+    arch, plan, train, eval_ds, recipe = args
+    return retrain_eval(arch, plan, train, eval_ds, **recipe).accuracy
 
 
 def score_archs(
@@ -199,15 +199,14 @@ def score_archs(
     plan: NetworkPlan,
     train,
     eval_ds,
-    epochs: int = 4,
-    batch_size: int = 32,
-    seed: int = 0,
     workers: int | None = None,
+    **recipe,
 ) -> np.ndarray:
     """Retrain-and-evaluate accuracy for each architecture, in input order
-    regardless of worker scheduling."""
+    regardless of worker scheduling.  ``recipe`` holds ``retrain_eval``'s
+    keywords, the same for every architecture."""
     nworkers = resolve_workers(workers)
-    jobs = [(arch, plan, train, eval_ds, epochs, batch_size, seed) for arch in archs]
+    jobs = [(arch, plan, train, eval_ds, recipe) for arch in archs]
     if nworkers == 1 or len(jobs) <= 1:
         return np.array([_score_one(j) for j in jobs])
     with ProcessPoolExecutor(max_workers=nworkers) as pool:

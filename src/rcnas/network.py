@@ -70,6 +70,8 @@ class NetworkPlan:
     reduction_positions: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.reduction_positions is not None:
+            object.__setattr__(self, "reduction_positions", tuple(self.reduction_positions))
         if self.n_cells < 1:
             raise ValueError("need at least one cell")
         if self.k_levels < 1:

@@ -51,6 +51,7 @@ class ProjectionConfig:
     feas_tol: float = 1e-6
 
     def __post_init__(self):
+        object.__setattr__(self, "betas", tuple(self.betas))
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("penalty weights must be non-negative")
         if self.gamma <= 0:

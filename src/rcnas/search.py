@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cells
+from . import cells, data
 from .autodiff import Tape
 from .cells import DiscreteArch
 from .cost import ConstraintBox, CostScope, build_cost_table, exact_cost, expected_cost
@@ -71,6 +71,7 @@ class SearchConfig:
     theta_init_scale: float = 1e-3
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta_betas", tuple(self.theta_betas))
         if self.epochs <= 0 or self.batch_size <= 0 or self.e_u <= 0:
             raise ValueError("epochs, batch_size, and e_u must be positive")
         if self.warm_start_multiplier < 1:
@@ -311,15 +312,13 @@ def retrain_eval(
     batch_size: int = 64,
     seed: int = 0,
     lr: float = 0.025,
-    use_cutout: bool = False,
+    cutout: bool = False,
 ) -> RetrainResult:
     """Train the discrete network from scratch and report held-out accuracy.
 
     One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
     3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
     optional cutout, and evaluation in batches of 256."""
-    from .data import cutout
-
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
     mean, std = normalization_stats(train)
     train_n = normalize(train, mean, std)
@@ -337,8 +336,8 @@ def retrain_eval(
         sgd.lr = 0.5 * lr * (1.0 + np.cos(np.pi * step / max(1, total)))
         net.zero_weight_grads()
         xb, yb = stream.next_batch()
-        if use_cutout:
-            xb = cutout(xb, aug_rng)
+        if cutout:
+            xb = data.cutout(xb, aug_rng)
         with Tape() as tape:
             loss, _ = net.loss(xb, yb)
             tape.backward(loss)

@@ -2,7 +2,7 @@
 
 import argparse
 import csv
-import dataclasses
+import inspect
 import json
 import types
 
@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from rcnas import cli
 from rcnas.cells import DiscreteArch
 from rcnas.cli import CONFIG_SCHEMA, DEFAULT_CONFIG, ConfigError, main, resolve_config
+from rcnas.exhaustive import MicroSpace
+from rcnas.network import NetworkPlan
 from rcnas.projection import ProjectionConfig
-from rcnas.search import LOG_COLUMNS, SearchConfig
+from rcnas.search import LOG_COLUMNS, SearchConfig, retrain_eval
 
 PRIMARY_ARTIFACTS = [
     "manifest.json",
@@ -99,11 +101,22 @@ def test_search_log_cells_have_one_format(search_run):
                 assert row[name] == repr(float(row[name])), name
 
 
-@pytest.mark.parametrize("section,cls", [("search", SearchConfig), ("projection", ProjectionConfig)])
-def test_config_sections_hold_exactly_the_dataclass_fields(section, cls):
-    names = {f.name for f in dataclasses.fields(cls)}
-    assert set(CONFIG_SCHEMA["properties"][section]["properties"]) == names
-    assert set(DEFAULT_CONFIG[section]) == names
+@pytest.mark.parametrize(
+    "section,call,from_data",
+    [
+        ("search", SearchConfig, []),
+        ("projection", ProjectionConfig, []),
+        ("plan", NetworkPlan, ["n_classes", "in_channels", "image_hw"]),
+        ("eval", retrain_eval, []),
+    ],
+    ids=["search-SearchConfig", "projection-ProjectionConfig", "plan-NetworkPlan", "eval-retrain_eval"],
+)
+def test_each_config_section_holds_the_keywords_of_its_call(section, call, from_data):
+    # the CLI passes a section with ** and the data's shape beside it, so the
+    # two together must be the call's keyword parameters, each once
+    keywords = sorted(n for n, p in inspect.signature(call).parameters.items() if p.default is not p.empty)
+    assert sorted([*CONFIG_SCHEMA["properties"][section]["properties"], *from_data]) == keywords
+    assert sorted([*DEFAULT_CONFIG[section], *from_data]) == keywords
 
 
 def test_manifest_rerun_is_byte_identical(search_run, tmp_path):
@@ -204,6 +217,40 @@ def test_enumerate_lists_whole_space(tmp_path):
     assert len(hashes) == 196
     params = [float(l.split(",")[2]) for l in lines[1:]]
     assert min(params) > 0 and max(params) > min(params)
+
+
+def test_scored_enumerate_matches_eval_at_the_eval_seed(tmp_path):
+    # one recipe for both commands: a learning rate and cutout off their
+    # defaults must reach the scores too
+    cfg = _tiny_config(
+        plan={"n_cells": 1, "use_connection": False},
+        eval={"epochs": 2, "batch_size": 16, "lr": 0.3, "seed": 0, "cutout": True},
+        enumerate={"score": True},
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_csv = tmp_path / "enum.csv"
+    assert main(["enumerate", "--config", str(cfg_path), "--out", str(out_csv)]) == 0
+    with out_csv.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    _, _, _, plan = cli._load(argparse.Namespace(config=str(cfg_path)))
+    archs = MicroSpace(plan).archs
+    assert len(rows) == len(archs) == 49
+    for row, arch in zip(rows, archs):
+        arch_path = tmp_path / "arch.json"
+        arch_path.write_text(arch.to_canonical_json())
+        res_path = tmp_path / "eval.json"
+        assert main(["eval", "--config", str(cfg_path), "--arch", str(arch_path), "--out", str(res_path)]) == 0
+        assert float(row["accuracy"]) == json.loads(res_path.read_text())["accuracy"], row["index"]
+
+
+def test_scored_enumerate_without_eval_data_exits_2_before_making_out_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_tiny_config(data={"n_eval": 0}, enumerate={"score": True})))
+    out = tmp_path / "new" / "enum.csv"
+    assert main(["enumerate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "scoring needs data.n_eval" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_enumerate_respects_ceiling(tmp_path):

@@ -1,8 +1,13 @@
 """Synthetic datasets, deterministic batching, and CIFAR-10 binary IO."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcnas.cli import main
 from rcnas.data import (
     BatchStream,
     Dataset,
@@ -202,6 +207,45 @@ def test_cifar_multiple_files_concatenate(tmp_path):
     ds = load_cifar10_binary(paths)
     assert len(ds) == 10
     assert ds.labels.tolist() == [0, 9, 1, 8, 2, 7, 3, 6, 4, 5]
+
+
+def _record(label: int, pattern: bytes) -> bytes:
+    return bytes([label]) + (pattern * 3072)[:3072]
+
+
+# a file of whole records, any label byte and a repeated pixel pattern each,
+# then a tail: none, a few arbitrary bytes or a torn record of zeros
+_CIFAR_FILE = st.builds(
+    lambda records, tail: b"".join(_record(*r) for r in records) + tail,
+    st.lists(st.tuples(st.integers(0, 255), st.binary(min_size=1, max_size=8)), max_size=3),
+    st.just(b"") | st.binary(max_size=8) | st.integers(1, 3072).map(bytes),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=st.lists(_CIFAR_FILE, min_size=1, max_size=2))
+def test_any_cifar_bytes_load_whole_records_or_raise_format_error(tmp_path_factory, files):
+    root = tmp_path_factory.mktemp("cifar")
+    paths = []
+    for i, raw in enumerate(files):
+        paths.append(root / f"b{i}.bin")
+        paths[-1].write_bytes(raw)
+    well_formed = all(raw and len(raw) % 3073 == 0 for raw in files)
+    labels = [raw[r] for raw in files for r in range(0, len(raw) - len(raw) % 3073, 3073)]
+    if well_formed and max(labels) <= 9:
+        ds = load_cifar10_binary(paths)
+        assert ds.images.shape == (len(labels), 3, 32, 32)
+        assert ds.labels.tolist() == labels
+        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+    else:
+        with pytest.raises(FormatError):
+            load_cifar10_binary(paths)
+    # the CLI reads the same files: a bad one exits 4, a good one goes on to
+    # the enumeration, which a ceiling of 1 refuses with exit 2
+    cfg = {"data": {"name": "cifar10", "paths": [str(p) for p in paths]}, "enumerate": {"ceiling": 1}}
+    cfg_path = root / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["enumerate", "--config", str(cfg_path)]) == (2 if well_formed and max(labels) <= 9 else 4)
 
 
 def test_cutout_zeroes_a_clipped_patch():
