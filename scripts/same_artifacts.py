@@ -5,10 +5,13 @@ Unpacks git revision REV into a temporary directory with ``git archive``,
 runs ``rcnas search --config configs/toy_blobs.json`` once from that copy's
 source and once from the work tree's, then from the same tree ``rcnas
 eval``, ``rcnas cost`` and ``rcnas export-dot`` of each run's
-``arch.json`` and ``rcnas enumerate --config configs/micro_enumerate.json``.
-It compares with ``cmp`` the six primary artifacts, ``eval.json`` and the
-stdout of cost, export-dot and enumerate. Prints one line per output and
-exits 1 if any differs (2 if a command fails).
+``arch.json`` and ``rcnas enumerate --config configs/micro_enumerate.json``,
+and prints ``json.dumps(CONFIG_SCHEMA, sort_keys=True)``. It compares with
+``cmp`` the six primary artifacts, ``eval.json``, the stdout of cost,
+export-dot and enumerate, and the printed schema, so a change that should
+leave the config schema alone is checked to accept and reject the same
+documents. Prints one line per output and exits 1 if any differs (2 if a
+command fails).
 
     python3 scripts/same_artifacts.py 70327fc
 """
@@ -21,15 +24,16 @@ import tempfile
 from pathlib import Path
 
 ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json")
-STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout")  # each command's stdout, kept under this name
+STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout", "schema.stdout")  # each command's stdout, kept under this name
+SCHEMA = "import json; from rcnas.cli import CONFIG_SCHEMA; print(json.dumps(CONFIG_SCHEMA, sort_keys=True))"
 CONFIG = "configs/toy_blobs.json"
 WORK_TREE = Path(__file__).resolve().parent.parent
 
 
 def run_tree(tree: Path, out: Path) -> None:
     """One search, then an eval, a cost report and a DOT export of its
-    architecture and an enumeration, from ``tree``'s own source and
-    configs, written to ``out``."""
+    architecture, an enumeration and the config schema, from ``tree``'s
+    own source and configs, written to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cli = [sys.executable, "-m", "rcnas.cli"]
     arch = str(out / "arch.json")
@@ -38,12 +42,13 @@ def run_tree(tree: Path, out: Path) -> None:
         ["eval", "--config", CONFIG, "--arch", arch, "--out", str(out / "eval.json")],
     ):
         subprocess.run(cli + args, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
-    for name, args in zip(STDOUT, (
-        ["cost", "--config", CONFIG, "--arch", arch],
-        ["export-dot", "--config", CONFIG, "--arch", arch],
-        ["enumerate", "--config", "configs/micro_enumerate.json"],
+    for name, command in zip(STDOUT, (
+        cli + ["cost", "--config", CONFIG, "--arch", arch],
+        cli + ["export-dot", "--config", CONFIG, "--arch", arch],
+        cli + ["enumerate", "--config", "configs/micro_enumerate.json"],
+        [sys.executable, "-c", SCHEMA],
     )):
-        (out / name).write_bytes(subprocess.run(cli + args, cwd=tree, env=env, check=True, capture_output=True).stdout)
+        (out / name).write_bytes(subprocess.run(command, cwd=tree, env=env, check=True, capture_output=True).stdout)
 
 
 def main() -> int:

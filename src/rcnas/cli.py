@@ -17,10 +17,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import inspect
 import io
 import json
 import sys
 from pathlib import Path
+from typing import get_args
 
 import jsonschema
 import numpy as np
@@ -39,6 +41,7 @@ from .exhaustive import MicroSpace, SpaceTooLarge, saturate_theta, score_archs
 from .network import NetworkPlan
 from .projection import ProjectionConfig, ProjectionError
 from .search import LOG_COLUMNS, SearchAbort, SearchConfig, retrain_eval, run_search
+from .settings import settings
 
 __all__ = ["main", "CONFIG_SCHEMA", "DEFAULT_CONFIG", "resolve_config", "ConfigError"]
 
@@ -60,19 +63,33 @@ _BOUND = {
     "maxItems": 2,
     "default": [None, None],
 }
-_BETAS = {
-    "type": "array",
-    "items": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-    "minItems": 2,
-    "maxItems": 2,
-    "default": [0.5, 0.999],
-}
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
 
-# Every setting is one entry: its type, its range and its default.  A
-# section's defaults are those of its properties; `paths` and `eval_paths`
-# have none and stay absent unless a config sets them.  The search,
-# projection, plan and eval sections hold the keywords of the one call each
-# configures (SearchConfig, ProjectionConfig, NetworkPlan, retrain_eval).
+
+def _section(call) -> dict:
+    """The config section of ``call``: per setting, the JSON type and range
+    of its annotation (a tuple's range is its items') and its default."""
+    params = inspect.signature(call).parameters
+    props = {}
+    for name, (kind, bounds) in settings(call).items():
+        default = params[name].default
+        if kind in _JSON_TYPES:
+            props[name] = {"type": _JSON_TYPES[kind], **bounds, "default": default}
+            continue
+        nullable = type(None) in get_args(kind)  # tuple[...] | None
+        items = get_args(get_args(kind)[0] if nullable else kind)
+        prop = {"type": ["array", "null"] if nullable else "array", "items": {"type": _JSON_TYPES[items[0]], **bounds}}
+        if items[-1] is not Ellipsis:  # tuple[float, float], not tuple[int, ...]
+            prop["minItems"] = prop["maxItems"] = len(items)
+        props[name] = {**prop, "default": None if default is None else list(default)}
+    return {"type": "object", "additionalProperties": False, "properties": props}
+
+
+# Every setting is one property: its type, its range and its default.  The
+# search, projection, plan and eval sections are built from the settings of
+# the call each configures; the rest are written here.  A section's
+# defaults are those of its properties; `paths` and `eval_paths` have none
+# and stay absent unless a config sets them.
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -91,71 +108,17 @@ CONFIG_SCHEMA = {
                 "eval_paths": {"type": "array", "items": {"type": "string"}},
             },
         },
-        "plan": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_cells": {"type": "integer", "minimum": 1, "default": 4},
-                "init_channels": {"type": "integer", "minimum": 1, "default": 8},
-                "n_nodes": {"type": "integer", "minimum": 4, "default": 5},
-                "k_levels": {"type": "integer", "minimum": 1, "default": 3},
-                "use_connection": {"type": "boolean", "default": True},
-                "reduction_positions": {
-                    "type": ["array", "null"],
-                    "items": {"type": "integer", "minimum": 0},
-                    "default": None,
-                },
-            },
-        },
+        "plan": _section(NetworkPlan),
         "constraints": {
             "type": "object",
             "additionalProperties": False,
             "properties": {"lower": _BOUND, "upper": _BOUND},
         },
-        "projection": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "lambda1": {"type": "number", "minimum": 0, "default": 1.0},
-                "lambda2": {"type": "number", "minimum": 0, "default": 1.0},
-                "gamma": {"type": "number", "exclusiveMinimum": 0, "default": 0.98},
-                "max_iters": {"type": "integer", "minimum": 0, "default": 500},
-                "lr": {"type": "number", "exclusiveMinimum": 0, "default": 3e-4},
-                "betas": _BETAS,
-                "feas_tol": {"type": "number", "minimum": 0, "default": 1e-6},
-            },
-        },
-        "search": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "epochs": {"type": "integer", "minimum": 1, "default": 2},
-                "batch_size": {"type": "integer", "minimum": 1, "default": 16},
-                "e_u": {"type": "integer", "minimum": 1, "default": 8},
-                "warm_start_multiplier": {"type": "integer", "minimum": 1, "default": 2},
-                "seed": {"type": "integer", "minimum": 0, "default": 0},
-                "val_fraction": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1, "default": 0.5},
-                "w_lr": {"type": "number", "exclusiveMinimum": 0, "default": 0.025},
-                "w_momentum": {"type": "number", "minimum": 0, "exclusiveMaximum": 1, "default": 0.9},
-                "w_weight_decay": {"type": "number", "minimum": 0, "default": 3e-4},
-                "theta_lr": {"type": "number", "exclusiveMinimum": 0, "default": 3e-4},
-                "theta_betas": _BETAS,
-                "theta_init_scale": {"type": "number", "minimum": 0, "default": 1e-3},
-            },
-        },
+        "projection": _section(ProjectionConfig),
+        "search": _section(SearchConfig),
         "scope": {"enum": ["topk", "fulldag"], "default": "topk"},
         "out_dir": {"type": "string", "default": "runs/latest"},
-        "eval": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "epochs": {"type": "integer", "minimum": 1, "default": 8},
-                "batch_size": {"type": "integer", "minimum": 1, "default": 32},
-                "seed": {"type": "integer", "minimum": 0, "default": 0},
-                "lr": {"type": "number", "exclusiveMinimum": 0, "default": 0.025},
-                "cutout": {"type": "boolean", "default": False},
-            },
-        },
+        "eval": _section(retrain_eval),
         "enumerate": {
             "type": "object",
             "additionalProperties": False,

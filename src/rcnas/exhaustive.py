@@ -20,6 +20,7 @@ from . import cells
 from .cells import CellTemplate, DiscreteArch
 from .cost import CostTable
 from .network import NetworkPlan
+from .search import retrain_eval
 
 __all__ = [
     "SpaceTooLarge",
@@ -187,10 +188,16 @@ def resolve_workers(requested: int | None = None) -> int:
     return max(1, min(want, cap))
 
 
-def _score_one(args) -> float:
-    from .search import retrain_eval
+_WORKER_SHARED: tuple = ()  # (plan, train, eval_ds, recipe) of every job in this worker
 
-    arch, plan, train, eval_ds, recipe = args
+
+def _init_worker(*shared) -> None:
+    global _WORKER_SHARED
+    _WORKER_SHARED = shared
+
+
+def _score_one(arch: DiscreteArch) -> float:
+    plan, train, eval_ds, recipe = _WORKER_SHARED
     return retrain_eval(arch, plan, train, eval_ds, **recipe).accuracy
 
 
@@ -204,10 +211,10 @@ def score_archs(
 ) -> np.ndarray:
     """Retrain-and-evaluate accuracy for each architecture, in input order
     regardless of worker scheduling.  ``recipe`` holds ``retrain_eval``'s
-    keywords, the same for every architecture."""
+    keywords, the same for every architecture.  Each worker receives the
+    rest once, through the pool's initializer; a job is one architecture."""
     nworkers = resolve_workers(workers)
-    jobs = [(arch, plan, train, eval_ds, recipe) for arch in archs]
-    if nworkers == 1 or len(jobs) <= 1:
-        return np.array([_score_one(j) for j in jobs])
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        return np.array(list(pool.map(_score_one, jobs)))
+    if nworkers == 1 or len(archs) <= 1:
+        return np.array([retrain_eval(arch, plan, train, eval_ds, **recipe).accuracy for arch in archs])
+    with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker, initargs=(plan, train, eval_ds, recipe)) as pool:
+        return np.array(list(pool.map(_score_one, archs)))

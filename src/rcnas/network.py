@@ -17,7 +17,7 @@ linear layer) is written here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple
+from typing import Annotated, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .autodiff import (
     global_avg_pool,
     linear,
 )
+from .settings import check_ranges
 
 __all__ = [
     "NetworkPlan",
@@ -59,25 +60,22 @@ def default_reduction_positions(n_cells: int) -> tuple[int, ...]:
 class NetworkPlan:
     """Macro structure of the searched network."""
 
-    n_cells: int = 8
-    init_channels: int = 16
+    n_cells: Annotated[int, {"minimum": 1}] = 4
+    init_channels: Annotated[int, {"minimum": 1}] = 8
     n_classes: int = 10
     in_channels: int = 3
     image_hw: tuple[int, int] = (16, 16)
-    n_nodes: int = 7
-    k_levels: int = 3
-    use_connection: bool = True
-    reduction_positions: tuple[int, ...] | None = None
+    n_nodes: Annotated[int, {"minimum": 4}] = 5  # two inputs, at least one intermediate, the output
+    k_levels: Annotated[int, {"minimum": 1}] = 3
+    use_connection: Annotated[bool, {}] = True
+    reduction_positions: Annotated[tuple[int, ...] | None, {"minimum": 0}] = None
 
     def __post_init__(self):
         if self.reduction_positions is not None:
             object.__setattr__(self, "reduction_positions", tuple(self.reduction_positions))
-        if self.n_cells < 1:
-            raise ValueError("need at least one cell")
-        if self.k_levels < 1:
-            raise ValueError("need at least one depth level")
+        check_ranges(NetworkPlan, vars(self))
         reds = self.reductions
-        if any(r < 0 or r >= self.n_cells for r in reds):
+        if any(r >= self.n_cells for r in reds):
             raise ValueError(f"reduction positions {reds} out of range for {self.n_cells} cells")
         if len(set(reds)) != len(reds):
             raise ValueError("duplicate reduction positions")

@@ -17,7 +17,7 @@ class SGD:
     """SGD with classical momentum and decoupled-from-nothing weight decay
     (decay is added to the gradient, as usual)."""
 
-    def __init__(self, params: list[Tensor], lr: float = 0.025, momentum: float = 0.9, weight_decay: float = 3e-4):
+    def __init__(self, params: list[Tensor], lr: float, momentum: float, weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -35,10 +35,9 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction and eps 1e-8; defaults follow the
-    architecture-step settings (lr 3e-4, betas (0.5, 0.999))."""
+    """Adam with bias correction and eps 1e-8."""
 
-    def __init__(self, params: list[Tensor], lr: float = 3e-4, betas: tuple[float, float] = (0.5, 0.999)):
+    def __init__(self, params: list[Tensor], lr: float, betas: tuple[float, float]):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

@@ -26,12 +26,14 @@ gradient into the gradient of h.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
 from .autodiff import Tensor
 from .cost import ConstraintBox, CostScope, CostTable, ThetaMap, cost_gradient, expected_cost, scope_edges, violation
 from .optim import Adam
+from .settings import check_ranges
 
 __all__ = ["ProjectionConfig", "ProjectionResult", "ProjectionError", "lagrangian", "lagrangian_grad", "project", "decay_lambda"]
 
@@ -42,22 +44,17 @@ class ProjectionError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    gamma: float = 0.98  # per-round geometric decay of both lambdas
-    max_iters: int = 500  # e_p
-    lr: float = 3e-4
-    betas: tuple[float, float] = (0.5, 0.999)
-    feas_tol: float = 1e-6
+    lambda1: Annotated[float, {"minimum": 0}] = 1.0
+    lambda2: Annotated[float, {"minimum": 0}] = 1.0
+    gamma: Annotated[float, {"exclusiveMinimum": 0}] = 0.98  # per-round geometric decay of both lambdas
+    max_iters: Annotated[int, {"minimum": 0}] = 500  # e_p
+    lr: Annotated[float, {"exclusiveMinimum": 0}] = 3e-4
+    betas: Annotated[tuple[float, float], {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = (0.5, 0.999)
+    feas_tol: Annotated[float, {"minimum": 0}] = 1e-6
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(self.betas))
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("penalty weights must be non-negative")
-        if self.gamma <= 0:
-            raise ValueError("decay factor must be positive")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
+        check_ranges(ProjectionConfig, vars(self))
 
 
 def decay_lambda(cfg: ProjectionConfig, t: int) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .data import BatchStream, Dataset, normalization_stats, normalize, split_da
 from .network import DiscreteNetwork, NetworkPlan, Supernet
 from .optim import SGD, Adam
 from .projection import ProjectionConfig, decay_lambda, project
+from .settings import check_ranges
 
 __all__ = [
     "SearchConfig",
@@ -55,27 +56,25 @@ class SearchAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the bilevel loop.  Defaults mirror the usual search recipe."""
+    """Knobs for the bilevel loop.  The defaults are an empty config's, a
+    desk-scale search; a longer one sets its own epochs and round lengths."""
 
-    epochs: int = 50
-    batch_size: int = 64
-    e_u: int = 150  # phase-I steps per round
-    warm_start_multiplier: int = 10  # first round runs warm_start_multiplier * e_u steps
-    seed: int = 0
-    val_fraction: float = 0.5  # held-out share used for the logits step
-    w_lr: float = 0.025
-    w_momentum: float = 0.9
-    w_weight_decay: float = 3e-4
-    theta_lr: float = 3e-4
-    theta_betas: tuple[float, float] = (0.5, 0.999)
-    theta_init_scale: float = 1e-3
+    epochs: Annotated[int, {"minimum": 1}] = 2
+    batch_size: Annotated[int, {"minimum": 1}] = 16
+    e_u: Annotated[int, {"minimum": 1}] = 8  # phase-I steps per round
+    warm_start_multiplier: Annotated[int, {"minimum": 1}] = 2  # first round runs warm_start_multiplier * e_u steps
+    seed: Annotated[int, {"minimum": 0}] = 0
+    val_fraction: Annotated[float, {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = 0.5  # held-out share used for the logits step
+    w_lr: Annotated[float, {"exclusiveMinimum": 0}] = 0.025
+    w_momentum: Annotated[float, {"minimum": 0, "exclusiveMaximum": 1}] = 0.9
+    w_weight_decay: Annotated[float, {"minimum": 0}] = 3e-4
+    theta_lr: Annotated[float, {"exclusiveMinimum": 0}] = 3e-4
+    theta_betas: Annotated[tuple[float, float], {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = (0.5, 0.999)
+    theta_init_scale: Annotated[float, {"minimum": 0}] = 1e-3
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta_betas", tuple(self.theta_betas))
-        if self.epochs <= 0 or self.batch_size <= 0 or self.e_u <= 0:
-            raise ValueError("epochs, batch_size, and e_u must be positive")
-        if self.warm_start_multiplier < 1:
-            raise ValueError("warm_start_multiplier must be at least 1")
+        check_ranges(SearchConfig, vars(self))
 
 
 class LogRow(NamedTuple):
@@ -308,17 +307,18 @@ def retrain_eval(
     plan: NetworkPlan,
     train: Dataset,
     eval_ds: Dataset,
-    epochs: int = 20,
-    batch_size: int = 64,
-    seed: int = 0,
-    lr: float = 0.025,
-    cutout: bool = False,
+    epochs: Annotated[int, {"minimum": 1}] = 8,
+    batch_size: Annotated[int, {"minimum": 1}] = 32,
+    seed: Annotated[int, {"minimum": 0}] = 0,
+    lr: Annotated[float, {"exclusiveMinimum": 0}] = 0.025,
+    cutout: Annotated[bool, {}] = False,
 ) -> RetrainResult:
     """Train the discrete network from scratch and report held-out accuracy.
 
     One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
     3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
     optional cutout, and evaluation in batches of 256."""
+    check_ranges(retrain_eval, locals())
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
     mean, std = normalization_stats(train)
     train_n = normalize(train, mean, std)

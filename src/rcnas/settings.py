@@ -1,0 +1,35 @@
+"""Settings: keywords annotated ``Annotated[type, range]``, the range a
+JSON-schema fragment of the bounds below (empty for a flag) that holds for
+the value or each item of a tuple.  The CLI builds its config sections from
+them, with the keywords' defaults, and each call checks its values."""
+
+from __future__ import annotations
+
+import functools
+import operator
+from typing import Annotated, get_args, get_origin, get_type_hints
+
+__all__ = ["settings", "check_ranges"]
+
+# bound -> (the test a value must pass, its sign in the error message)
+_BOUNDS = {"minimum": (operator.ge, ">="), "maximum": (operator.le, "<="),
+           "exclusiveMinimum": (operator.gt, ">"), "exclusiveMaximum": (operator.lt, "<")}
+
+
+@functools.cache
+def settings(call) -> dict[str, tuple[object, dict]]:
+    """Each setting of ``call``, in keyword order, to its type and range."""
+    hints = get_type_hints(call, include_extras=True)
+    return {name: get_args(hint) for name, hint in hints.items() if get_origin(hint) is Annotated}
+
+
+def check_ranges(call, values: dict) -> None:
+    """Raise ValueError unless each setting of ``call`` in ``values`` lies
+    in its range; a tuple's items each do, and None holds no items."""
+    for name, (_, bounds) in settings(call).items():
+        value = values[name]
+        for item in () if value is None else value if isinstance(value, tuple) else (value,):
+            for key, bound in bounds.items():
+                passes, sign = _BOUNDS[key]
+                if not passes(item, bound):
+                    raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")

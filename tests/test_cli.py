@@ -4,6 +4,7 @@ import argparse
 import csv
 import inspect
 import json
+import math
 import types
 
 import numpy as np
@@ -114,9 +115,45 @@ def test_search_log_cells_have_one_format(search_run):
 def test_each_config_section_holds_the_keywords_of_its_call(section, call, from_data):
     # the CLI passes a section with ** and the data's shape beside it, so the
     # two together must be the call's keyword parameters, each once
-    keywords = sorted(n for n, p in inspect.signature(call).parameters.items() if p.default is not p.empty)
+    params = inspect.signature(call).parameters
+    keywords = sorted(n for n, p in params.items() if p.default is not p.empty)
     assert sorted([*CONFIG_SCHEMA["properties"][section]["properties"], *from_data]) == keywords
     assert sorted([*DEFAULT_CONFIG[section], *from_data]) == keywords
+    # and the call given none of them runs what an empty config runs
+    defaults = {name: params[name].default for name in DEFAULT_CONFIG[section]}
+    assert json.loads(json.dumps(defaults)) == resolve_config({})[section]
+
+
+_CALLS = {"search": SearchConfig, "projection": ProjectionConfig, "plan": NetworkPlan, "eval": retrain_eval}
+# (section, setting, bound keyword, bound) of every bounded setting of the
+# four call sections; a tuple setting's bounds are those of its items
+_BOUNDED = [
+    (section, name, key, bound)
+    for section in _CALLS
+    for name, prop in CONFIG_SCHEMA["properties"][section]["properties"].items()
+    for key, bound in prop.get("items", prop).items()
+    if key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+]
+
+
+@pytest.mark.parametrize("section,name,key,bound", _BOUNDED, ids=[f"{s}.{n}.{k}" for s, n, k, _ in _BOUNDED])
+def test_a_setting_just_past_its_bound_raises_from_its_call(section, name, key, bound):
+    prop = CONFIG_SCHEMA["properties"][section]["properties"][name]
+    integer = prop.get("items", prop)["type"] == "integer"
+    if key.startswith("exclusive"):
+        bad = bound
+    elif integer:
+        bad = bound - 1 if key == "minimum" else bound + 1
+    else:
+        bad = math.nextafter(bound, -math.inf if key == "minimum" else math.inf)
+    if "items" in prop:  # the first item past the bound, the others default
+        bad = (bad, *(DEFAULT_CONFIG[section][name] or [])[1:])
+    with pytest.raises(ValueError, match=name):
+        if section == "eval":
+            # no architecture, plan or data: it must raise before it trains
+            retrain_eval(None, None, None, None, **{name: bad})
+        else:
+            _CALLS[section](**{name: bad})
 
 
 def test_manifest_rerun_is_byte_identical(search_run, tmp_path):

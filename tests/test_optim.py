@@ -65,7 +65,7 @@ def test_adam_first_step_is_signed_lr():
 
 def test_adam_descends_tiny_gradients_at_lr_scale():
     p = _param(0.0)
-    opt = Adam([p], lr=3e-4)
+    opt = Adam([p], lr=3e-4, betas=(0.5, 0.999))
     for _ in range(10):
         p.grad = np.array([1e-5])
         opt.step()
@@ -75,7 +75,7 @@ def test_adam_descends_tiny_gradients_at_lr_scale():
 
 def test_zero_lr_changes_nothing_but_counters():
     p = _param(1.5)
-    opt = Adam([p], lr=0.0)
+    opt = Adam([p], lr=0.0, betas=(0.5, 0.999))
     p.grad = np.array([7.0])
     opt.step()
     assert p.data[0] == 1.5
