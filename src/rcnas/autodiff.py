@@ -1,4 +1,4 @@
-"""Reverse-mode automatic differentiation over dense float64 tensors.
+"""Reverse-mode automatic differentiation over dense float32 or float64 tensors.
 
 The engine is deliberately small: a handful of primitives sufficient for
 convolutional supernets (convolution with stride/dilation/groups, batch
@@ -15,8 +15,11 @@ and weight (no padded copy, row stack or patches), ``batch_norm`` ``xhat``
 and the inverse deviations, and ``conv_bn`` the conv input, ``xhat`` and
 the inverse deviations but never the conv output between them.
 
-Everything is float64 and deterministic: the same inputs produce
-bit-identical outputs and gradients on every run.
+A tensor is float32 when its data is and float64 otherwise, and every
+primitive computes and returns its inputs' dtype. Retraining runs in
+float32; the search, the cost model and the gradient checks in float64.
+Everything is deterministic: the same inputs produce bit-identical outputs
+and gradients on every run.
 """
 from __future__ import annotations
 
@@ -61,7 +64,8 @@ class ShapeError(ValueError):
 
 
 class Tensor:
-    """Dense float64 array with an optional gradient buffer.
+    """Dense array with an optional gradient buffer: float32 data stays
+    float32, anything else becomes float64.
 
     ``grad`` stays ``None`` until backward accumulates into it; it is only
     ever populated for tensors with ``requires_grad`` set, and backward
@@ -71,7 +75,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -190,7 +195,7 @@ def _accumulate(inputs: tuple[Tensor, ...], grads: tuple) -> None:
         # a copy, never gin itself (a rule may return one array for several
         # inputs), laid out like the input, as BLAS picks its kernel, and
         # with it the rounding, by memory order
-        inp.grad = np.empty_like(inp.data, dtype=np.float64)
+        inp.grad = np.empty_like(inp.data)
         inp.grad[...] = gin
 
 
@@ -237,7 +242,7 @@ def _padded(x: np.ndarray, ph: int, pw: int, value: float = 0.0) -> np.ndarray:
         return x
     B, C, H, W = x.shape
     shape = (B, C, H + 2 * ph, W + 2 * pw)
-    xp = np.zeros(shape) if value == 0.0 else np.full(shape, value)
+    xp = np.zeros(shape, x.dtype) if value == 0.0 else np.full(shape, value, x.dtype)
     xp[:, :, ph : ph + H, pw : pw + W] = x
     return xp
 
@@ -269,15 +274,24 @@ def _band_index(kh: int, kw: int, Wp: int, OW: int, stride: int, dilation: int):
     return rows, cols
 
 
-def _row_stack(xp: np.ndarray, kh: int, OH: int, stride: int, dilation: int) -> np.ndarray:
+@functools.lru_cache(maxsize=256)
+def _row_index(OH: int, kh: int, stride: int, dilation: int) -> np.ndarray:
+    """(OH, kh): the padded input row kernel row i meets for output row oh.
+    Shared between calls, so read-only."""
+    idx = np.arange(OH)[:, None] * stride + np.arange(kh) * dilation
+    idx.flags.writeable = False
+    return idx
+
+
+def _row_stack(x: np.ndarray, ph: int, pw: int, kh: int, OH: int, stride: int, dilation: int) -> np.ndarray:
     """(C, B*OH, kh*Wp): for each output row, the kh padded input rows its
-    window covers, laid side by side."""
-    B, C, _, Wp = xp.shape
-    rows = np.empty((C, B, OH, kh, Wp))
-    xt = xp.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        rows[:, :, :, i] = xt[:, :, _span(i * dilation, OH, stride)]
-    return rows.reshape(C, B * OH, kh * Wp)
+    window covers, laid side by side. One zero-padded channel-major copy of
+    ``x``, then one gather of its rows."""
+    B, C, H, W = x.shape
+    xp = np.zeros((C, B, H + 2 * ph, W + 2 * pw), x.dtype)
+    xp[:, :, ph : ph + H, pw : pw + W] = x.transpose(1, 0, 2, 3)
+    rows = np.take(xp, _row_index(OH, kh, stride, dilation), axis=2)
+    return rows.reshape(C, B * OH, kh * xp.shape[3])
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, OH: int, OW: int, stride: int, dilation: int, groups: int):
@@ -285,7 +299,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, OH: int, OW: int, stride: int, dil
     B, C = xp.shape[:2]
     if kh == kw == 1 and stride == 1:
         return xp.reshape(B, groups, C // groups, OH * OW)
-    cols = np.empty((B, C, kh, kw, OH, OW))
+    cols = np.empty((B, C, kh, kw, OH, OW), xp.dtype)
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = _tap(xp, i * dilation, j * dilation, OH, OW, stride)
@@ -339,11 +353,11 @@ def conv2d(
         band_idx = _band_index(kh, kw, Wp, OW, stride, dilation)
 
         def band() -> np.ndarray:
-            m = np.zeros((C, kh * Wp, OW))
+            m = np.zeros((C, kh * Wp, OW), wd.dtype)
             m[:, band_idx[0], band_idx[1]] = np.repeat(wd.reshape(C, kh * kw), OW, axis=1)
             return m
 
-        out_data = np.matmul(_row_stack(_padded(x.data, ph, pw), kh, OH, stride, dilation), band())
+        out_data = np.matmul(_row_stack(x.data, ph, pw, kh, OH, stride, dilation), band())
         out_data = out_data.reshape(C, B, OH, OW).transpose(1, 0, 2, 3)
     else:
         Og = Cout // groups
@@ -356,14 +370,14 @@ def conv2d(
         gt = g.transpose(1, 0, 2, 3).reshape(C, B * OH, OW)
         dw = dx = None
         if weight.requires_grad:
-            rows = _row_stack(_padded(x.data, ph, pw), kh, OH, stride, dilation)
+            rows = _row_stack(x.data, ph, pw, kh, OH, stride, dilation)
             full = np.matmul(rows.swapaxes(1, 2), gt)
             dw = full[:, band_idx[0], band_idx[1]].reshape(C, 1, kh, kw, OW).sum(axis=-1)
         if x.requires_grad:
             # one matmul per kernel row, so each scatter-add moves whole
             # contiguous (OH, Wp) blocks
             band_t = np.ascontiguousarray(band().reshape(C, kh, Wp, OW).swapaxes(2, 3))
-            dxt = np.zeros((C, B, Hp, Wp))
+            dxt = np.zeros((C, B, Hp, Wp), x.data.dtype)
             for i in range(kh):
                 drow = np.matmul(gt, band_t[:, i]).reshape(C, B, OH, Wp)
                 dxt[:, :, _span(i * dilation, OH, stride)] += drow
@@ -382,7 +396,7 @@ def conv2d(
                 dxp = dcols.reshape(B, C, Hp, Wp)
             else:
                 dcols = dcols.reshape(B, C, kh, kw, OH, OW)
-                dxp = np.zeros((B, C, Hp, Wp))
+                dxp = np.zeros((B, C, Hp, Wp), x.data.dtype)
                 for i in range(kh):
                     for j in range(kw):
                         _tap(dxp, i * dilation, j * dilation, OH, OW, stride)[...] += dcols[:, :, i, j]
@@ -512,7 +526,7 @@ def max_pool2d(x: Tensor, kernel: int = 3, stride: int = 1, padding: int = 1) ->
         # holds the maximum; ``pending`` marks outputs not yet routed. The
         # input is padded again here so the tape holds no padded copy.
         xp = _padded(x.data, padding, padding, -np.inf)
-        dxp = np.zeros(xp.shape)
+        dxp = np.zeros(xp.shape, xp.dtype)
         pending = np.ones(out_data.shape, dtype=bool)
         taps = zip(_window_taps(xp, kernel, OH, OW, stride), _window_taps(dxp, kernel, OH, OW, stride))
         for t, dt in taps:
@@ -536,7 +550,7 @@ def avg_pool2d(x: Tensor, kernel: int = 3, stride: int = 1, padding: int = 1) ->
     B, C, H, W = x.shape
 
     def bwd(g):
-        dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding))
+        dxp = np.zeros((B, C, H + 2 * padding, W + 2 * padding), x.data.dtype)
         gk = g * inv_k2
         for dt in _window_taps(dxp, kernel, OH, OW, stride):
             dt += gk

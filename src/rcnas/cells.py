@@ -332,8 +332,10 @@ class DiscreteArch:
     def from_json_dict(cls, doc: dict) -> "DiscreteArch":
         if not isinstance(doc, dict):
             raise ArchFormatError("architecture document must be a JSON object")
-        if doc.get("schema_version") != cls.SCHEMA_VERSION:
-            raise ArchFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        version = doc.get("schema_version")
+        # an int, not a bool or float that compares equal to one
+        if type(version) is not int or version != cls.SCHEMA_VERSION:
+            raise ArchFormatError(f"unsupported schema_version {version!r}")
         kinds = doc.get("kinds")
         if not isinstance(kinds, dict):
             raise ArchFormatError("missing 'kinds' object")
@@ -345,10 +347,14 @@ class DiscreteArch:
                 raise ArchFormatError(f"kind {kind!r}: 'nodes' must be an object keyed by node index")
             nodes = {}
             for j_str, picks in body["nodes"].items():
+                # canonical decimal only, so no two keys ("2", "02", " 2")
+                # name one node
                 try:
                     j = int(j_str)
                 except ValueError:
-                    raise ArchFormatError(f"kind {kind!r}: node key {j_str!r} is not an integer") from None
+                    j = None
+                if str(j) != j_str:
+                    raise ArchFormatError(f"kind {kind!r}: node key {j_str!r} is not a canonical decimal integer")
                 if not isinstance(picks, list):
                     raise ArchFormatError(f"kind {kind!r}: node {j} edges must be a list")
                 parsed = []

@@ -317,9 +317,20 @@ def _out_file(args) -> Path | None:
     return path
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key given twice, which
+    ``json.loads`` would otherwise settle silently by keeping the last."""
+    doc: dict = {}
+    for key, value in pairs:
+        if key in doc:
+            raise cells.ArchFormatError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_arch(path: str) -> cells.DiscreteArch:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise OSError(f"cannot read architecture {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

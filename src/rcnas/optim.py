@@ -2,7 +2,10 @@
 architecture logits and for the cost projection inner loop.
 
 Both operate on Tensors through the .grad buffer and keep their
-per-parameter state (velocity; first and second moments) as arrays.
+per-parameter state (velocity; first and second moments) as arrays of the
+parameter's dtype. A step keeps that dtype too, whatever the type of
+``lr``: under NumPy's promotion rules a NumPy float64 ``lr`` (a schedule's
+value) would otherwise turn a float32 parameter into float64.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ class SGD:
                 g = g + self.weight_decay * p.data
             v *= self.momentum
             v += g
-            p.data = p.data - self.lr * v
+            p.data = (p.data - self.lr * v).astype(p.data.dtype, copy=False)
 
 
 class Adam:
@@ -57,4 +60,4 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             mhat = m / b1c
             vhat = v / b2c
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
+            p.data = (p.data - self.lr * mhat / (np.sqrt(vhat) + 1e-8)).astype(p.data.dtype, copy=False)

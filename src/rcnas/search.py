@@ -317,14 +317,20 @@ def retrain_eval(
 
     One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
     3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
-    optional cutout, and evaluation in batches of 256."""
+    optional cutout, and evaluation in batches of 256. Retraining runs in
+    float32, as DARTS retrains: the normalized images and the network's
+    weights (the float64 draws, rounded once) are cast, and the SGD state
+    follows the weights. The search and the cost model stay float64."""
     check_ranges(retrain_eval, locals())
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
     mean, std = normalization_stats(train)
     train_n = normalize(train, mean, std)
     eval_n = normalize(eval_ds, mean, std)
+    train_n, eval_n = (replace(ds, images=ds.images.astype(np.float32)) for ds in (train_n, eval_n))
 
     net = DiscreteNetwork(plan, arch, model_seed)
+    for p in net.weight_params():
+        p.data = p.data.astype(np.float32)
     sgd = SGD(net.weight_params(), lr=lr, momentum=0.9, weight_decay=3e-4)
     stream = BatchStream(train_n, batch_size, stream_seed)
     aug_rng = np.random.default_rng(np.random.SeedSequence(aug_seed))

@@ -440,6 +440,72 @@ def test_primitive_names_cover_every_exported_primitive():
     assert set(names) == recording
 
 
+def _conv(**kw):
+    return lambda x, w: ad.conv2d(x, w, **kw)
+
+
+def _conv_bn(**kw):
+    return lambda x, w, g, b: ad.conv_bn(x, w, g, b, **kw)
+
+
+# primitive -> calls that reach each of its code paths: (function, input shapes)
+_DTYPE_CASES = {
+    "relu": [(ad.relu, [(2, 3, 5, 5)])],
+    "conv2d": [
+        (_conv(padding=1, groups=4), [(2, 4, 6, 6), (4, 1, 3, 3)]),  # depthwise
+        (_conv(stride=2, padding=4, dilation=2, groups=4), [(2, 4, 7, 7), (4, 1, 5, 5)]),
+        (_conv(), [(2, 4, 5, 5), (6, 4, 1, 1)]),  # 1x1, no patch copy
+        (_conv(stride=2, padding=1, groups=2), [(2, 4, 6, 6), (4, 2, 3, 3)]),  # grouped, padded
+    ],
+    "batch_norm": [(ad.batch_norm, [(3, 4, 4, 4), (4,), (4,)])],
+    "conv_bn": [
+        (_conv_bn(padding=1, groups=4), [(2, 4, 6, 6), (4, 1, 3, 3), (4,), (4,)]),
+        (_conv_bn(stride=2, padding=2, dilation=2), [(2, 4, 6, 6), (6, 4, 3, 3), (6,), (6,)]),
+    ],
+    "max_pool2d": [(lambda x: ad.max_pool2d(x, 3, s, 1), [(2, 3, 6, 6)]) for s in (1, 2)],
+    "avg_pool2d": [(lambda x: ad.avg_pool2d(x, 3, s, 1), [(2, 3, 6, 6)]) for s in (1, 2)],
+    "global_avg_pool": [(ad.global_avg_pool, [(2, 5, 4, 4)])],
+    "concat": [(lambda a, b: ad.concat([a, b], axis=1), [(2, 3, 4, 4), (2, 2, 4, 4)])],
+    "add": [(ad.add, [(2, 3, 4, 4), (2, 3, 4, 4)])],
+    "mul": [(ad.mul, [(3, 4), (3, 4)])],
+    "scale": [(lambda x: ad.scale(x, 0.5), [(2, 3, 3)])],
+    "crop_offset": [(lambda x: ad.crop_offset(x, 1, 1), [(2, 3, 5, 5)])],
+    "channel_shuffle": [(lambda x: ad.channel_shuffle(x, 2), [(2, 4, 3, 3)])],
+    "weighted_sum": [(lambda w, a, b: ad.weighted_sum(w, [a, b]), [(2,), (2, 2, 3, 3), (2, 2, 3, 3)])],
+    "linear": [(ad.linear, [(4, 5), (3, 5), (3,)])],
+    "softmax": [(ad.softmax, [(3, 4)])],
+    "cross_entropy_logits": [(lambda z: ad.cross_entropy_logits(z, np.array([0, 2, 1, 0])), [(4, 3)])],
+    "tensor_sum": [(ad.tensor_sum, [(2, 3)])],
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", primitive_names())
+def test_every_primitive_keeps_its_input_dtype(name, dtype):
+    rng = np.random.default_rng(0)
+    rule_dtypes = set()
+
+    def watched(bwd):
+        # what a rule returns, before backward copies it into .grad
+        def run(g):
+            grads = bwd(g)
+            rule_dtypes.update(d.dtype for d in grads if d is not None)
+            return grads
+
+        return run
+
+    for fn, shapes in _DTYPE_CASES[name]:
+        inputs = [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+        with Tape() as tape:
+            out = fn(*inputs)
+            loss = out if out.size == 1 else ad.tensor_sum(out)
+        tape._entries[:] = [(o, ins, watched(bwd)) for o, ins, bwd in tape._entries]
+        tape.backward(loss)
+        assert out.data.dtype == dtype
+        assert [t.grad.dtype for t in inputs] == [dtype] * len(inputs)
+    assert rule_dtypes == {np.dtype(dtype)}
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_simplex(vals):

@@ -417,6 +417,38 @@ def test_malformed_arch_document_exits_2_without_traceback(tmp_path, capsys, nod
     assert "config error" in capsys.readouterr().err
 
 
+def _node_2_also_as(spelling):
+    """The document with node 2's picks repeated under ``spelling``: a
+    loader that merges the two keys sees the same architecture."""
+
+    def edit(doc):
+        picks = json.dumps(doc["kinds"]["normal.0"]["nodes"]["2"])
+        head = '"normal.0": {"nodes": {'
+        return json.dumps(doc).replace(head, f"{head}{json.dumps(spelling)}: {picks}, ", 1)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_node_2_also_as("02"), "'02'"),
+        (_node_2_also_as(" 2"), "' 2'"),
+        (_node_2_also_as("2"), "duplicate key '2'"),
+        (lambda doc: json.dumps({**doc, "schema_version": True}), "schema_version True"),
+        (lambda doc: json.dumps({**doc, "schema_version": 1.0}), "schema_version 1.0"),
+    ],
+    ids=["leading-zero-key", "leading-space-key", "repeated-key", "bool-version", "float-version"],
+)
+def test_a_second_spelling_of_a_key_or_version_exits_2(search_run, tmp_path, capsys, edit, named):
+    cfg_path, out = search_run
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(edit(json.loads((out / "arch.json").read_text())))
+    assert main(["cost", "--config", str(cfg_path), "--arch", str(arch_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_poisoned_search_exits_3(tmp_path, monkeypatch):
     import rcnas.cli as cli_mod
     from rcnas.data import make_blobs

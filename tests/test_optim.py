@@ -87,3 +87,19 @@ def test_zero_lr_changes_nothing_but_counters():
     sgd.step()
     assert q.data[0] == 1.5
     assert [v.tolist() for v in sgd._velocity] == [[7.0]]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [
+    lambda ps, lr: SGD(ps, lr=lr, momentum=0.9, weight_decay=3e-4),
+    lambda ps, lr: Adam(ps, lr=lr, betas=(0.9, 0.999)),
+], ids=["SGD", "Adam"])
+def test_a_step_keeps_the_parameter_dtype_under_a_numpy_float64_lr(make, dtype):
+    # a cosine schedule's lr is a NumPy float64, which NumPy's promotion
+    # rules would let turn a float32 parameter into float64
+    p = Tensor(np.array([1.0, -2.0], dtype=dtype), requires_grad=True)
+    opt = make([p], np.cos(0.5) * 0.1)
+    for _ in range(2):
+        p.grad = np.array([0.5, 0.25], dtype=dtype)
+        opt.step()
+        assert p.data.dtype == dtype

@@ -170,6 +170,41 @@ def test_retrain_eval_same_seed_is_identical():
     assert a.loss != c.loss
 
 
+def test_one_retrain_step_runs_in_float32(monkeypatch):
+    plan = NetworkPlan(n_cells=2, init_channels=4, n_classes=3, image_hw=(8, 8), n_nodes=5, k_levels=1)
+    # depthwise, dilated depthwise, dense dilated, both pools, and a skip
+    arch = DiscreteArch(
+        {
+            "normal.0": {
+                2: ((0, "dil_sep_conv_5x5"), (1, "max_pool_3x3")),
+                3: ((0, "avg_pool_3x3"), (2, "sep_conv_3x3")),
+            },
+            "connect": {1: ((0, "dil_conv_3x3"),)},
+        }
+    )
+    seen = {"outputs": set(), "grads": set(), "lr": set(), "after": set()}
+
+    class RecordingTape(Tape):
+        def backward(self, loss):
+            seen["outputs"] |= {out.data.dtype for out, _, _ in self._entries}
+            super().backward(loss)
+
+    class RecordingSGD(SGD):
+        def step(self):
+            seen["grads"] |= {p.grad.dtype for p in self.params}
+            seen["lr"].add(type(self.lr))
+            super().step()
+            seen["after"] |= {p.data.dtype for p in self.params}
+
+    monkeypatch.setattr(search_mod, "Tape", RecordingTape)
+    monkeypatch.setattr(search_mod, "SGD", RecordingSGD)
+    train = make_blobs(16, (8, 8), seed=8)
+    res = retrain_eval(arch, plan, train, make_blobs(8, (8, 8), seed=9), epochs=1, batch_size=16, seed=1)
+    assert len(res.history) == 1  # one step
+    f32 = {np.dtype(np.float32)}
+    assert seen == {"outputs": f32, "grads": f32, "lr": {np.float64}, "after": f32}
+
+
 def test_retrain_eval_beats_chance_on_blobs():
     train = make_blobs(96, (8, 8), seed=10)
     eval_ds = make_blobs(48, (8, 8), seed=11)
