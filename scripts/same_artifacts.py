@@ -4,26 +4,29 @@
 Unpacks git revision REV into a temporary directory with ``git archive``,
 runs ``rcnas search --config configs/toy_blobs.json`` once from that copy's
 source and once from the work tree's, then from the same tree ``rcnas
-eval``, ``rcnas cost`` and ``rcnas export-dot`` of each run's
-``arch.json`` and ``rcnas enumerate --config configs/micro_enumerate.json``,
-and prints ``json.dumps(CONFIG_SCHEMA, sort_keys=True)``. It compares with
-``cmp`` the six primary artifacts, ``eval.json``, the stdout of cost,
-export-dot and enumerate, and the printed schema, so a change that should
-leave the config schema alone is checked to accept and reject the same
-documents. Prints one line per output and exits 1 if any differs (2 if a
-command fails).
+eval`` (once as configured and once with ``"eval": {"cutout": true}``
+laid over a copy of the config), ``rcnas cost`` and ``rcnas export-dot``
+of each run's ``arch.json`` and ``rcnas enumerate --config
+configs/micro_enumerate.json``, and prints ``json.dumps(CONFIG_SCHEMA,
+sort_keys=True)``. It compares with ``cmp`` the six primary artifacts,
+``eval.json``, ``eval_cutout.json``, the stdout of cost, export-dot and
+enumerate, and the printed schema, so a change that should leave the
+config schema alone is checked to accept and reject the same documents.
+Prints one line per output and exits 1 if any differs (2 if a command
+fails).
 
     python3 scripts/same_artifacts.py 70327fc
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json")
+ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json", "eval_cutout.json")
 STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout", "schema.stdout")  # each command's stdout, kept under this name
 SCHEMA = "import json; from rcnas.cli import CONFIG_SCHEMA; print(json.dumps(CONFIG_SCHEMA, sort_keys=True))"
 CONFIG = "configs/toy_blobs.json"
@@ -31,15 +34,21 @@ WORK_TREE = Path(__file__).resolve().parent.parent
 
 
 def run_tree(tree: Path, out: Path) -> None:
-    """One search, then an eval, a cost report and a DOT export of its
-    architecture, an enumeration and the config schema, from ``tree``'s
-    own source and configs, written to ``out``."""
+    """One search, then an eval without and with cutout, a cost report and
+    a DOT export of its architecture, an enumeration and the config schema,
+    from ``tree``'s own source and configs, written to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cli = [sys.executable, "-m", "rcnas.cli"]
     arch = str(out / "arch.json")
+    cutout = out / "cutout_config.json"
+    doc = json.loads((tree / CONFIG).read_text())
+    doc["eval"] = {**doc.get("eval", {}), "cutout": True}
+    out.mkdir(parents=True)
+    cutout.write_text(json.dumps(doc))
     for args in (
         ["search", "--config", CONFIG, "--out", str(out)],
         ["eval", "--config", CONFIG, "--arch", arch, "--out", str(out / "eval.json")],
+        ["eval", "--config", str(cutout), "--arch", arch, "--out", str(out / "eval_cutout.json")],
     ):
         subprocess.run(cli + args, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     for name, command in zip(STDOUT, (

@@ -166,10 +166,6 @@ class ArchParams:
             h.update(t.data.tobytes())
         return h.hexdigest()
 
-    def set_trainable(self, flag: bool) -> None:
-        for t in self._vectors.values():
-            t.requires_grad = flag
-
 
 def scope_edges(theta: dict[ThetaKey, np.ndarray], templates: dict[str, CellTemplate]) -> dict[str, frozenset]:
     """Edges discretization keeps, per kind: per intermediate node j, the

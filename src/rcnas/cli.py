@@ -198,15 +198,32 @@ def resolve_config(doc: dict) -> dict:
     return _deep_merge(_defaults(CONFIG_SCHEMA), doc)
 
 
-def _load_config_file(path: str) -> dict:
+def _read_json(path: str, what: str, error: type[ValueError]):
+    """The JSON document in the ``what`` file at ``path``. A file that
+    cannot be read raises OSError. Malformed JSON raises ``error``, as does
+    an object that gives one key twice, which ``json.loads`` would settle
+    silently by keeping the last."""
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        doc: dict = {}
+        for key, value in pairs:
+            if key in doc:
+                raise error(f"{what} {path}: duplicate key {key!r}")
+            doc[key] = value
+        return doc
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise OSError(f"cannot read config {path}: {exc}") from exc
+        raise OSError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+        raise error(f"{what} {path} is not valid JSON: {exc}") from None
+
+
+def _load_config_file(path: str) -> dict:
+    doc = _read_json(path, "config", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return doc
@@ -317,25 +334,8 @@ def _out_file(args) -> Path | None:
     return path
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object as a dict, refusing a key given twice, which
-    ``json.loads`` would otherwise settle silently by keeping the last."""
-    doc: dict = {}
-    for key, value in pairs:
-        if key in doc:
-            raise cells.ArchFormatError(f"duplicate key {key!r}")
-        doc[key] = value
-    return doc
-
-
 def _load_arch(path: str) -> cells.DiscreteArch:
-    try:
-        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
-    except OSError as exc:
-        raise OSError(f"cannot read architecture {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise cells.ArchFormatError(f"{path}: not valid JSON: {exc}") from None
-    return cells.DiscreteArch.from_json_dict(doc)
+    return cells.DiscreteArch.from_json_dict(_read_json(path, "architecture", cells.ArchFormatError))
 
 
 def _cmd_search(args) -> int:

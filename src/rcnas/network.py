@@ -297,14 +297,6 @@ class _NetworkBase:
     def weight_count(self) -> int:
         return sum(p.size for p in self._params)
 
-    def set_weights_trainable(self, flag: bool) -> None:
-        for p in self._params:
-            p.requires_grad = flag
-
-    def zero_weight_grads(self) -> None:
-        for p in self._params:
-            p.grad = None
-
     def check_names_unique(self) -> None:
         names = [p.name for p in self._params]
         assert len(names) == len(set(names)), "duplicate parameter names"
@@ -334,13 +326,6 @@ class Supernet(_NetworkBase):
 
     def theta_tensors(self) -> list[Tensor]:
         return self.arch.tensors()
-
-    def zero_theta_grads(self) -> None:
-        for t in self.theta_tensors():
-            t.grad = None
-
-    def set_theta_trainable(self, flag: bool) -> None:
-        self.arch.set_trainable(flag)
 
 
 class DiscreteNetwork(_NetworkBase):

@@ -10,8 +10,9 @@ start multiplier so early projections act on meaningful mixtures.
 
 With both penalty weights at zero the projection is the identity and
 the whole procedure degenerates to plain alternating descent; the
-reference loop at the bottom of this file implements that flat
-procedure independently so the equivalence is checkable.
+reference loop below runs the same paired step on its own flat
+schedule, with no rounds and no projection, so the equivalence is
+checkable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import cells, data
 from .autodiff import Tape
 from .cells import DiscreteArch
-from .cost import ConstraintBox, CostScope, build_cost_table, exact_cost, expected_cost
+from .cost import ConstraintBox, CostScope, CostTable, build_cost_table, exact_cost, expected_cost
 from .data import BatchStream, Dataset, normalization_stats, normalize, split_dataset
 from .network import DiscreteNetwork, NetworkPlan, Supernet
 from .optim import SGD, Adam
@@ -128,47 +129,66 @@ def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
 
     net = Supernet(plan, model_seed, theta_init_scale=cfg.theta_init_scale)
     train_stream = BatchStream(train, cfg.batch_size, train_seed)
+    if train_stream.batches_per_epoch == 0:
+        raise ValueError("no training steps: dataset too small for the batch size")
     val_stream = BatchStream(val, cfg.batch_size, val_seed)
     sgd = SGD(net.weight_params(), lr=cfg.w_lr, momentum=cfg.w_momentum, weight_decay=cfg.w_weight_decay)
     adam = Adam(net.theta_tensors(), lr=cfg.theta_lr, betas=cfg.theta_betas)
     return net, train_stream, val_stream, sgd, adam
 
 
-def _check_finite(value: float, what: str, step: int) -> None:
+def _descend(net, opt: SGD | Adam, batch: tuple[np.ndarray, np.ndarray], step: int, what: str, frozen=()) -> float:
+    """One optimizer step on ``batch``'s loss; returns the loss.
+
+    The gradients of ``opt.params`` are cleared and those tensors made
+    trainable; ``frozen`` is held fixed for the step and then restored. A
+    non-finite loss raises SearchAbort naming ``what`` and ``step``."""
+    for p in opt.params:
+        p.grad = None
+        p.requires_grad = True
+    saved = [t.requires_grad for t in frozen]
+    for t in frozen:
+        t.requires_grad = False
+    try:
+        with Tape() as tape:
+            loss, _ = net.loss(*batch)
+            tape.backward(loss)
+    finally:
+        for t, flag in zip(frozen, saved):
+            t.requires_grad = flag
+    value = float(loss.data)
     if not np.isfinite(value):
-        raise SearchAbort(
-            f"{what} became non-finite at step {step}",
-            {"step": step, "quantity": what, "value": float(value)},
-        )
+        raise SearchAbort(f"{what} became non-finite at step {step}", {"step": step, "quantity": what, "value": value})
+    opt.step()
+    return value
 
 
 def phase1_step(net: Supernet, sgd: SGD, adam: Adam, train_stream: BatchStream, val_stream: BatchStream, step: int) -> tuple[float, float]:
-    """One paired update: weights on a train batch, logits on a val batch."""
-    # weight step; logits held fixed
-    net.set_theta_trainable(False)
-    net.set_weights_trainable(True)
-    net.zero_weight_grads()
-    xb, yb = train_stream.next_batch()
-    with Tape() as tape:
-        loss, _ = net.loss(xb, yb)
-        tape.backward(loss)
-    train_loss = float(loss.data)
-    _check_finite(train_loss, "train loss", step)
-    sgd.step()
-
-    # logits step; weights held fixed
-    net.set_weights_trainable(False)
-    net.set_theta_trainable(True)
-    net.zero_theta_grads()
-    xv, yv = val_stream.next_batch()
-    with Tape() as tape:
-        vloss, _ = net.loss(xv, yv)
-        tape.backward(vloss)
-    val_loss = float(vloss.data)
-    _check_finite(val_loss, "val loss", step)
-    adam.step()
-    net.set_weights_trainable(True)
+    """One paired update: weights on a train batch with the logits held
+    fixed, then logits on a val batch with the weights held fixed."""
+    train_loss = _descend(net, sgd, train_stream.next_batch(), step, "train loss", frozen=net.theta_tensors())
+    val_loss = _descend(net, adam, val_stream.next_batch(), step, "val loss", frozen=net.weight_params())
     return train_loss, val_loss
+
+
+def _result(net: Supernet, plan: NetworkPlan, table: CostTable, box: ConstraintBox, scope: CostScope, feas_tol: float,
+            digests: list[str], rows: list[LogRow], rounds: int, t0: float) -> SearchResult:
+    """A search's result from its final logits: their cost, whether it
+    lies in ``box``, the derived architecture and the report. ``digests``
+    holds one entry per step."""
+    theta = net.arch.numpy()
+    phi = expected_cost(theta, table, scope)
+    feasible = box.feasible(phi, feas_tol)
+    arch = cells.derive_discrete(theta, plan.templates())
+    report = {
+        "steps": len(digests),
+        "rounds": rounds,
+        "phi": [float(v) for v in phi],
+        "feasible": feasible,
+        "exact_cost": [float(v) for v in exact_cost(arch, plan)],
+        "wall_seconds": time.monotonic() - t0,
+    }
+    return SearchResult(arch, theta, digests, rows, phi, feasible, report)
 
 
 def run_search(
@@ -184,8 +204,6 @@ def run_search(
     net, train_stream, val_stream, sgd, adam = _setup(plan, ds, cfg)
     table = build_cost_table(plan)
     total_steps = cfg.epochs * train_stream.batches_per_epoch
-    if total_steps <= 0:
-        raise ValueError("no training steps: dataset too small for the batch size")
 
     digests: list[str] = []
     rows: list[LogRow] = []
@@ -207,23 +225,12 @@ def run_search(
         rows.append(LogRow(step, round_idx, "project", None, None, *res.phi, lam1, lam2, res.feasible, res.iterations))
         round_idx += 1
 
-    theta = net.arch.numpy()
-    phi = expected_cost(theta, table, scope)
-    feasible = box.feasible(phi, proj.feas_tol)
-    arch = cells.derive_discrete(theta, plan.templates())
-    report = {
-        "steps": step,
-        "rounds": round_idx,
-        "phi": [float(v) for v in phi],
-        "feasible": feasible,
-        "exact_cost": [float(v) for v in exact_cost(arch, plan)],
-        "wall_seconds": time.monotonic() - t0,
-    }
-    return SearchResult(arch, theta, digests, rows, phi, feasible, report)
+    return _result(net, plan, table, box, scope, proj.feas_tol, digests, rows, round_idx, t0)
 
 
 def darts_reference_search(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Plain first-order alternating search: one flat loop, no projection.
+    """Plain first-order alternating search: the same paired step on one
+    flat loop, with no rounds and no projection.
 
     Deliberately independent of run_search's round scheduling so the two
     can be compared step for step.
@@ -232,50 +239,15 @@ def darts_reference_search(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig = S
     net, train_stream, val_stream, sgd, adam = _setup(plan, ds, cfg)
     table = build_cost_table(plan)
     total_steps = cfg.epochs * train_stream.batches_per_epoch
-    if total_steps <= 0:
-        raise ValueError("no training steps: dataset too small for the batch size")
 
     digests: list[str] = []
     rows: list[LogRow] = []
     for step in range(total_steps):
-        # weight update on the training half
-        net.set_theta_trainable(False)
-        net.set_weights_trainable(True)
-        net.zero_weight_grads()
-        xb, yb = train_stream.next_batch()
-        with Tape() as tape:
-            loss, _ = net.loss(xb, yb)
-            tape.backward(loss)
-        _check_finite(float(loss.data), "train loss", step)
-        sgd.step()
-
-        # logits update on the validation half
-        net.set_weights_trainable(False)
-        net.set_theta_trainable(True)
-        net.zero_theta_grads()
-        xv, yv = val_stream.next_batch()
-        with Tape() as tape:
-            vloss, _ = net.loss(xv, yv)
-            tape.backward(vloss)
-        _check_finite(float(vloss.data), "val loss", step)
-        adam.step()
-        net.set_weights_trainable(True)
-
+        train_loss, val_loss = phase1_step(net, sgd, adam, train_stream, val_stream, step)
         digests.append(net.arch.digest())
-        rows.append(LogRow(step + 1, 0, "search", float(loss.data), float(vloss.data), None, None, 0.0, 0.0, True, None))
-
-    theta = net.arch.numpy()
-    phi = expected_cost(theta, table, CostScope.TOP_K)
-    arch = cells.derive_discrete(theta, plan.templates())
-    report = {
-        "steps": total_steps,
-        "rounds": 0,
-        "phi": [float(v) for v in phi],
-        "feasible": True,
-        "exact_cost": [float(v) for v in exact_cost(arch, plan)],
-        "wall_seconds": time.monotonic() - t0,
-    }
-    return SearchResult(arch, theta, digests, rows, phi, True, report)
+        rows.append(LogRow(step + 1, 0, "search", train_loss, val_loss, None, None, 0.0, 0.0, True, None))
+    box, tol = ConstraintBox.unbounded(), ProjectionConfig().feas_tol
+    return _result(net, plan, table, box, CostScope.TOP_K, tol, digests, rows, 0, t0)
 
 
 def evaluate(net, ds: Dataset, batch_size: int = 64) -> tuple[float, float]:
@@ -340,17 +312,12 @@ def retrain_eval(
     history: list[dict] = []
     for step in range(total):
         sgd.lr = 0.5 * lr * (1.0 + np.cos(np.pi * step / max(1, total)))
-        net.zero_weight_grads()
         xb, yb = stream.next_batch()
         if cutout:
             xb = data.cutout(xb, aug_rng)
-        with Tape() as tape:
-            loss, _ = net.loss(xb, yb)
-            tape.backward(loss)
-        _check_finite(float(loss.data), "retrain loss", step)
-        sgd.step()
+        loss = _descend(net, sgd, (xb, yb), step, "retrain loss")
         if (step + 1) % steps_per_epoch == 0:
-            history.append({"epoch": (step + 1) // steps_per_epoch, "train_loss": float(loss.data)})
+            history.append({"epoch": (step + 1) // steps_per_epoch, "train_loss": loss})
 
     eval_loss, acc = evaluate(net, eval_n, batch_size=256)
     cost_vec = exact_cost(arch, plan)

@@ -328,15 +328,6 @@ def test_arch_params_digest_and_load():
         a.load({("connect", (0, 1)): np.zeros(17)})
 
 
-def test_arch_params_trainable_toggle():
-    templates = {"connect": connection_template()}
-    a = ArchParams(templates, _rng(23))
-    a.set_trainable(False)
-    assert all(not t.requires_grad for t in a.tensors())
-    a.set_trainable(True)
-    assert all(t.requires_grad for t in a.tensors())
-
-
 def test_export_dot_lists_every_chosen_edge():
     templates = {"normal.0": normal_template(6), "connect": connection_template()}
     arch = derive_discrete(ArchParams(templates, _rng(31), init_scale=1.0).numpy(), templates)

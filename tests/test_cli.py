@@ -449,6 +449,26 @@ def test_a_second_spelling_of_a_key_or_version_exits_2(search_run, tmp_path, cap
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        (json.dumps(_tiny_config())[:-1] + ', "eval": {"epochs": 2}}', "'eval'"),
+        (json.dumps(_tiny_config(enumerate={"ceiling": 10})).replace('"ceiling": 10', '"ceiling": 10, "ceiling": 100000'), "'ceiling'"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_config_key_given_twice_exits_2(search_run, tmp_path, capsys, text, key):
+    # json.loads would keep the last value and enumerate the space
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["enumerate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"duplicate key {key}" in err and str(cfg_path) in err and "Traceback" not in err
+    # a written manifest still loads
+    _, out = search_run
+    assert cli._load_config_file(str(out / "manifest.json"))["command"] == "search"
+
+
 def test_poisoned_search_exits_3(tmp_path, monkeypatch):
     import rcnas.cli as cli_mod
     from rcnas.data import make_blobs

@@ -207,17 +207,6 @@ def test_parameter_names_are_unique():
     assert len(dnames) == len(set(dnames))
 
 
-def test_grad_toggles():
-    net = Supernet(_plan(), seed=12)
-    net.set_weights_trainable(False)
-    assert all(not p.requires_grad for p in net.weight_params())
-    net.set_weights_trainable(True)
-    net.set_theta_trainable(False)
-    assert all(not t.requires_grad for t in net.theta_tensors())
-    net.set_theta_trainable(True)
-    assert all(t.requires_grad for t in net.theta_tensors())
-
-
 def test_reference_convnet_forward_and_loss():
     net = ReferenceConvNet(in_channels=3, n_classes=4, channels=8, seed=0)
     x = np.random.default_rng(4).standard_normal((2, 3, 8, 8))
@@ -235,7 +224,8 @@ def test_supernet_weight_step_backward_frees_as_it_goes():
     # rises above what forward left on the tape; a tape that kept every
     # entry and intermediate gradient to the end would read about 1.6x
     net = Supernet(_plan(), seed=13)
-    net.set_theta_trainable(False)
+    for t in net.theta_tensors():
+        t.requires_grad = False
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((8, 3, 8, 8)), rng.integers(0, 4, size=8)
     tracemalloc.start()

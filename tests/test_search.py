@@ -119,13 +119,27 @@ def test_degenerates_to_reference_loop_without_constraints():
     assert constrained.arch.choices == reference.arch.choices
 
 
-def test_search_aborts_on_poisoned_inputs():
+@pytest.mark.parametrize(
+    "run, quantities, steps",
+    [
+        # four steps; which one aborts depends on the split the pixel lands in
+        (lambda ds: run_search(_plan(), ds, ConstraintBox.unbounded(), _cfg(), _proj()), {"train loss", "val loss"}, range(4)),
+        # a NaN training pixel makes the normalization stats NaN, so the
+        # first step's loss is NaN
+        (lambda ds: retrain_eval(IDENTITY_ARCH, _plan(), ds, make_blobs(16, (8, 8), seed=9), epochs=1, batch_size=16),
+         {"retrain loss"}, [0]),
+    ],
+    ids=["run_search", "retrain_eval"],
+)
+def test_search_aborts_on_poisoned_inputs(run, quantities, steps):
     ds = make_blobs(64, (8, 8), seed=1)
     ds.images[0, 0, 0, 0] = np.nan
     with pytest.raises(SearchAbort) as exc:
-        run_search(_plan(), ds, ConstraintBox.unbounded(), _cfg(), _proj())
-    assert "step" in exc.value.diagnostics
-    assert "quantity" in exc.value.diagnostics
+        run(ds)
+    diag = exc.value.diagnostics
+    assert diag["quantity"] in quantities
+    assert diag["step"] in steps
+    assert str(exc.value) == f"{diag['quantity']} became non-finite at step {diag['step']}"
 
 
 def test_search_config_validation():
@@ -148,6 +162,27 @@ def test_phase1_step_updates_both_variable_sets():
     assert not np.array_equal(net.weight_params()[0].data, w_before)
     # weights are left trainable for the next round
     assert all(p.requires_grad for p in net.weight_params())
+
+
+def test_phase1_step_leaves_the_train_gradient_on_the_weights():
+    # each weight's gradient is that of the train batch's loss alone: the
+    # logits step holds the weights fixed, so nothing accumulates on them
+    ds = make_blobs(64, (8, 8), seed=4)
+    net, train_stream, val_stream, sgd, adam = search_mod._setup(_plan(), ds, _cfg())
+    phase1_step(net, sgd, adam, train_stream, val_stream, step=0)
+    ref, ref_stream, _, _, _ = search_mod._setup(_plan(), ds, _cfg())
+    for t in ref.theta_tensors():
+        t.requires_grad = False
+    with Tape() as tape:
+        loss, _ = ref.loss(*ref_stream.next_batch())
+        tape.backward(loss)
+    grads = [(p.grad, q.grad) for p, q in zip(net.weight_params(), ref.weight_params())]
+    assert all(q is not None for _, q in grads)
+    for g, want in grads:
+        np.testing.assert_array_equal(g, want)
+    # both groups are left trainable for the next step
+    assert all(p.requires_grad for p in net.weight_params())
+    assert all(t.requires_grad for t in net.theta_tensors())
 
 
 def test_evaluate_is_deterministic():
