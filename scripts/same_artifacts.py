@@ -8,17 +8,19 @@ eval`` (once as configured and once with ``"eval": {"cutout": true}``
 laid over a copy of the config), ``rcnas cost`` and ``rcnas export-dot``
 of each run's ``arch.json`` and ``rcnas enumerate --config
 configs/micro_enumerate.json``, and prints ``json.dumps(CONFIG_SCHEMA,
-sort_keys=True)``. It compares with ``cmp`` the six primary artifacts,
-``eval.json``, ``eval_cutout.json``, the stdout of cost, export-dot and
-enumerate, and the printed schema, so a change that should leave the
-config schema alone is checked to accept and reject the same documents.
-Prints one line per output and exits 1 if any differs (2 if a command
-fails).
+sort_keys=True, indent=1)``, one line per property. It compares the six
+primary artifacts, ``eval.json``, ``eval_cutout.json``, the stdout of cost,
+export-dot and enumerate, and the printed schema byte for byte, so a change
+that should leave the config schema alone is checked to accept and reject
+the same documents. Prints one line per output, and below each output that
+differs a unified diff of at most DIFF_LINES lines; exits 1 if any differs
+(2 if a command fails).
 
     python3 scripts/same_artifacts.py 70327fc
 """
 
 import argparse
+import difflib
 import json
 import os
 import subprocess
@@ -28,9 +30,10 @@ from pathlib import Path
 
 ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json", "eval_cutout.json")
 STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout", "schema.stdout")  # each command's stdout, kept under this name
-SCHEMA = "import json; from rcnas.cli import CONFIG_SCHEMA; print(json.dumps(CONFIG_SCHEMA, sort_keys=True))"
+SCHEMA = "import json; from rcnas.cli import CONFIG_SCHEMA; print(json.dumps(CONFIG_SCHEMA, sort_keys=True, indent=1))"
 CONFIG = "configs/toy_blobs.json"
 WORK_TREE = Path(__file__).resolve().parent.parent
+DIFF_LINES = 40
 
 
 def run_tree(tree: Path, out: Path) -> None:
@@ -78,9 +81,16 @@ def main() -> int:
             return 2
         differ = 0
         for name in ARTIFACTS + STDOUT:
-            same = subprocess.run(["cmp", "-s", str(tmp / "run_base" / name), str(tmp / "run_work" / name)]).returncode == 0
+            before, after = ((tmp / run / name).read_bytes() for run in ("run_base", "run_work"))
+            same = before == after
             differ += not same
             print(f"{name}: {'identical' if same else 'DIFFERS'}")
+            if not same:
+                lines = (text.decode(errors="replace").splitlines() for text in (before, after))
+                diff = list(difflib.unified_diff(*lines, f"{args.rev}/{name}", f"work/{name}", lineterm=""))
+                print("\n".join(diff[:DIFF_LINES]))
+                if len(diff) > DIFF_LINES:
+                    print(f"... {len(diff) - DIFF_LINES} more diff lines")
     print(f"{len(ARTIFACTS) + len(STDOUT) - differ}/{len(ARTIFACTS) + len(STDOUT)} outputs byte-identical to {args.rev}")
     return 1 if differ else 0
 

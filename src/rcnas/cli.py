@@ -20,9 +20,9 @@ import csv
 import inspect
 import io
 import json
+import math
 import sys
 from pathlib import Path
-from typing import get_args
 
 import jsonschema
 import numpy as np
@@ -67,21 +67,11 @@ _JSON_TYPES = {bool: "boolean", int: "integer", float: "number"}
 
 
 def _section(call) -> dict:
-    """The config section of ``call``: per setting, the JSON type and range
-    of its annotation (a tuple's range is its items') and its default."""
+    """The config section of ``call``: per setting, a scalar, the JSON type
+    and range of its annotation and its default."""
     params = inspect.signature(call).parameters
-    props = {}
-    for name, (kind, bounds) in settings(call).items():
-        default = params[name].default
-        if kind in _JSON_TYPES:
-            props[name] = {"type": _JSON_TYPES[kind], **bounds, "default": default}
-            continue
-        nullable = type(None) in get_args(kind)  # tuple[...] | None
-        items = get_args(get_args(kind)[0] if nullable else kind)
-        prop = {"type": ["array", "null"] if nullable else "array", "items": {"type": _JSON_TYPES[items[0]], **bounds}}
-        if items[-1] is not Ellipsis:  # tuple[float, float], not tuple[int, ...]
-            prop["minItems"] = prop["maxItems"] = len(items)
-        props[name] = {**prop, "default": None if default is None else list(default)}
+    props = {name: {"type": _JSON_TYPES[kind], **bounds, "default": params[name].default}
+             for name, (kind, bounds) in settings(call).items()}
     return {"type": "object", "additionalProperties": False, "properties": props}
 
 
@@ -169,30 +159,34 @@ def _unwrap(doc: dict) -> dict:
     return doc["config"]
 
 
-def _integers(val, path: str = ""):
-    """(path, value) of every integer in a JSON document."""
+def _numbers(val, path: str = ""):
+    """(path, value) of every number in a JSON document."""
     if isinstance(val, dict | list):
         for key, sub in val.items() if isinstance(val, dict) else enumerate(val):
-            yield from _integers(sub, f"{path}/{key}".lstrip("/"))
-    elif isinstance(val, int):
+            yield from _numbers(sub, f"{path}/{key}".lstrip("/"))
+    elif isinstance(val, int | float):
         yield path, val
 
 
 def resolve_config(doc: dict) -> dict:
     """Validate a user config (or manifest) and fill in defaults.
 
-    A manifest is unwrapped first.  The defaults are built afresh on each
-    call, so the result shares no object with DEFAULT_CONFIG.
+    A manifest is unwrapped first.  Every schema violation is reported, so
+    a manifest holding settings since removed names each.  The defaults are
+    built afresh on each call, so the result shares no object with
+    DEFAULT_CONFIG.
     """
     doc = _unwrap(doc)
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from None
-    # JSON allows integers no float64 holds, and the schema's bounds pass
-    # them, but the program reads every number as a float or a count
-    for path, val in _integers(doc):
+    errors = [f"config invalid at {'/'.join(map(str, exc.absolute_path)) or '<root>'}: {exc.message}"
+              for exc in jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(doc)]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    # JSON allows numbers no float64 holds (NaN, the infinities, integers
+    # past its range), and the schema's bounds pass them, but the program
+    # reads every number as a finite float or a count
+    for path, val in _numbers(doc):
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"config invalid at {path}: {json.dumps(val)} is not a finite number")
         if abs(val) > sys.float_info.max:
             raise ConfigError(f"config invalid at {path}: integer too large for a float64")
     return _deep_merge(_defaults(CONFIG_SCHEMA), doc)

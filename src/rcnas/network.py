@@ -68,19 +68,11 @@ class NetworkPlan:
     n_nodes: Annotated[int, {"minimum": 4}] = 5  # two inputs, at least one intermediate, the output
     k_levels: Annotated[int, {"minimum": 1}] = 3
     use_connection: Annotated[bool, {}] = True
-    reduction_positions: Annotated[tuple[int, ...] | None, {"minimum": 0}] = None
 
     def __post_init__(self):
-        if self.reduction_positions is not None:
-            object.__setattr__(self, "reduction_positions", tuple(self.reduction_positions))
         check_ranges(NetworkPlan, vars(self))
-        reds = self.reductions
-        if any(r >= self.n_cells for r in reds):
-            raise ValueError(f"reduction positions {reds} out of range for {self.n_cells} cells")
-        if len(set(reds)) != len(reds):
-            raise ValueError("duplicate reduction positions")
         h, w = self.image_hw
-        factor = 2 ** len(reds)
+        factor = 2 ** len(self.reductions)
         if h % factor or w % factor:
             raise ValueError(f"image {h}x{w} not divisible by total reduction factor {factor}")
         if self.use_connection:
@@ -92,8 +84,6 @@ class NetworkPlan:
 
     @property
     def reductions(self) -> tuple[int, ...]:
-        if self.reduction_positions is not None:
-            return tuple(sorted(self.reduction_positions))
         return default_reduction_positions(self.n_cells)
 
     @property
@@ -310,9 +300,9 @@ class Supernet(_NetworkBase):
     """Relaxed search network: every candidate op on every slot, mixed by
     softmax over shared per-kind logits."""
 
-    def __init__(self, plan: NetworkPlan, seed: int, theta_init_scale: float = 1e-3):
+    def __init__(self, plan: NetworkPlan, seed: int):
         super().__init__(plan, seed)
-        self.arch = cells.ArchParams(self.templates, self._theta_rng, init_scale=theta_init_scale)
+        self.arch = cells.ArchParams(self.templates, self._theta_rng)
         self._build()
 
     def _slot_op(self, slot: Slot) -> EdgeFn:

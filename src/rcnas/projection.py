@@ -7,11 +7,11 @@ theta_p whose expected cost lies inside the box by descending
                + lambda1 * sum_m max(C_L_m - Phi_m(theta_p), 0)
                + lambda2 * sum_m max(Phi_m(theta_p) - C_H_m, 0)
 
-with Adam, for at most e_p steps or until feasible. The anchor theta
-never moves; under the TopK scope the active edge set is frozen from the
-anchor so the objective stays smooth during the descent. Both penalty
-weights decay geometrically across projection rounds, and at lambda = 0
-the projection degenerates to the identity.
+with Adam (betas 0.5, 0.999), for at most e_p steps or until feasible.
+The anchor theta never moves; under the TopK scope the active edge set is
+frozen from the anchor so the objective stays smooth during the descent.
+Both penalty weights decay geometrically across projection rounds, and at
+lambda = 0 the projection degenerates to the identity.
 
 The descent keeps the logits as one flat vector under one Adam, in the
 cost table's key order, and freezes the TopK edge set once per call. Each
@@ -49,11 +49,9 @@ class ProjectionConfig:
     gamma: Annotated[float, {"exclusiveMinimum": 0}] = 0.98  # per-round geometric decay of both lambdas
     max_iters: Annotated[int, {"minimum": 0}] = 500  # e_p
     lr: Annotated[float, {"exclusiveMinimum": 0}] = 3e-4
-    betas: Annotated[tuple[float, float], {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = (0.5, 0.999)
     feas_tol: Annotated[float, {"minimum": 0}] = 1e-6
 
     def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
         check_ranges(ProjectionConfig, vars(self))
 
 
@@ -175,7 +173,7 @@ def project(
 
     # Adam is elementwise, so one flat holder steps exactly as one per logits vector
     holder = Tensor(anchor.copy(), requires_grad=True)
-    opt = Adam([holder], lr=cfg.lr, betas=cfg.betas)
+    opt = Adam([holder], lr=cfg.lr, betas=(0.5, 0.999))
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
         if np.any(coeff != 0.0):

@@ -57,24 +57,19 @@ class SearchAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the bilevel loop.  The defaults are an empty config's, a
-    desk-scale search; a longer one sets its own epochs and round lengths."""
+    """Knobs for the bilevel loop, each a scalar; the defaults are an empty
+    config's, a desk-scale search.  The rest is DARTS' first-order recipe,
+    fixed: a 50/50 train/val split, weight SGD at lr 0.025, momentum 0.9 and
+    weight decay 3e-4, and Adam with betas (0.5, 0.999) on the logits."""
 
     epochs: Annotated[int, {"minimum": 1}] = 2
     batch_size: Annotated[int, {"minimum": 1}] = 16
     e_u: Annotated[int, {"minimum": 1}] = 8  # phase-I steps per round
     warm_start_multiplier: Annotated[int, {"minimum": 1}] = 2  # first round runs warm_start_multiplier * e_u steps
     seed: Annotated[int, {"minimum": 0}] = 0
-    val_fraction: Annotated[float, {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = 0.5  # held-out share used for the logits step
-    w_lr: Annotated[float, {"exclusiveMinimum": 0}] = 0.025
-    w_momentum: Annotated[float, {"minimum": 0, "exclusiveMaximum": 1}] = 0.9
-    w_weight_decay: Annotated[float, {"minimum": 0}] = 3e-4
     theta_lr: Annotated[float, {"exclusiveMinimum": 0}] = 3e-4
-    theta_betas: Annotated[tuple[float, float], {"exclusiveMinimum": 0, "exclusiveMaximum": 1}] = (0.5, 0.999)
-    theta_init_scale: Annotated[float, {"minimum": 0}] = 1e-3
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta_betas", tuple(self.theta_betas))
         check_ranges(SearchConfig, vars(self))
 
 
@@ -122,18 +117,18 @@ def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
     degeneration comparison starts from bit-identical state.
     """
     model_seed, split_seed, train_seed, val_seed = _derive_seeds(cfg.seed)
-    val, train = split_dataset(ds, fraction=cfg.val_fraction, seed=split_seed)
+    val, train = split_dataset(ds, fraction=0.5, seed=split_seed)
     mean, std = normalization_stats(train)
     train = normalize(train, mean, std)
     val = normalize(val, mean, std)
 
-    net = Supernet(plan, model_seed, theta_init_scale=cfg.theta_init_scale)
+    net = Supernet(plan, model_seed)
     train_stream = BatchStream(train, cfg.batch_size, train_seed)
     if train_stream.batches_per_epoch == 0:
         raise ValueError("no training steps: dataset too small for the batch size")
     val_stream = BatchStream(val, cfg.batch_size, val_seed)
-    sgd = SGD(net.weight_params(), lr=cfg.w_lr, momentum=cfg.w_momentum, weight_decay=cfg.w_weight_decay)
-    adam = Adam(net.theta_tensors(), lr=cfg.theta_lr, betas=cfg.theta_betas)
+    sgd = SGD(net.weight_params(), lr=0.025, momentum=0.9, weight_decay=3e-4)
+    adam = Adam(net.theta_tensors(), lr=cfg.theta_lr, betas=(0.5, 0.999))
     return net, train_stream, val_stream, sgd, adam
 
 

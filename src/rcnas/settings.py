@@ -1,6 +1,6 @@
-"""Settings: keywords annotated ``Annotated[type, range]``, the range a
-JSON-schema fragment of the bounds below (empty for a flag) that holds for
-the value or each item of a tuple.  The CLI builds its config sections from
+"""Settings: keywords annotated ``Annotated[type, range]``, the type a
+scalar (bool, int or float) and the range a JSON-schema fragment of the
+bounds below (empty for a flag).  The CLI builds its config sections from
 them, with the keywords' defaults, and each call checks its values."""
 
 from __future__ import annotations
@@ -24,12 +24,9 @@ def settings(call) -> dict[str, tuple[object, dict]]:
 
 
 def check_ranges(call, values: dict) -> None:
-    """Raise ValueError unless each setting of ``call`` in ``values`` lies
-    in its range; a tuple's items each do, and None holds no items."""
+    """Raise ValueError unless each setting of ``call`` in ``values`` lies in its range."""
     for name, (_, bounds) in settings(call).items():
-        value = values[name]
-        for item in () if value is None else value if isinstance(value, tuple) else (value,):
-            for key, bound in bounds.items():
-                passes, sign = _BOUNDS[key]
-                if not passes(item, bound):
-                    raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")
+        for key, bound in bounds.items():
+            passes, sign = _BOUNDS[key]
+            if not passes(values[name], bound):
+                raise ValueError(f"{name} must be {sign} {bound}, got {values[name]!r}")

@@ -135,9 +135,7 @@ def test_projection_reaches_box_from_random_starts():
     lo, hi = vertices.min(axis=0), vertices.max(axis=0)
     box = ConstraintBox(lower=lo + 0.6 * (hi - lo), upper=lo + 0.8 * (hi - lo))
 
-    cfg = ProjectionConfig(
-        lambda1=1.0, lambda2=1.0, max_iters=500, lr=3e-4, betas=(0.5, 0.999)
-    )
+    cfg = ProjectionConfig(lambda1=1.0, lambda2=1.0, max_iters=500, lr=3e-4)
     rng = np.random.default_rng(np.random.SeedSequence(777))
     feasible = moved = 0
     max_iters_seen = 0

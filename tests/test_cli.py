@@ -360,6 +360,38 @@ def test_nan_constraint_bound_exits_2(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize(
+    "path,over",
+    [
+        ("projection/lambda1", {"projection": {"lambda1": 12345.5}}),
+        ("search/theta_lr", {"search": {"theta_lr": 12345.5}}),
+        ("constraints/upper/0", {"constraints": {"upper": [12345.5, None]}}),
+    ],
+    ids=["projection.lambda1", "search.theta_lr", "constraints.upper.0"],
+)
+def test_non_finite_number_exits_2_naming_its_path(tmp_path, capsys, path, over, token):
+    # json reads each token as a non-finite float (1e999 as inf), which no
+    # setting can use, and a range such as lambda1 >= 0 lets inf through
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(_tiny_config(**over)).replace("12345.5", token))
+    assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    assert f"config invalid at {path}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_manifest_with_removed_settings_exits_2_naming_them(tmp_path, capsys):
+    cfg = _tiny_config()
+    cfg["search"]["val_fraction"] = 0.5
+    cfg["plan"]["reduction_positions"] = None
+    p = tmp_path / "manifest.json"
+    p.write_text(json.dumps({"command": "search", "version": "0", "config": cfg}))
+    assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "'val_fraction' was unexpected" in err and "'reduction_positions' was unexpected" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_missing_config_exits_4(tmp_path):
     assert main(["search", "--config", str(tmp_path / "nope.json")]) == 4
 

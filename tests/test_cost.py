@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcnas import ops
-from rcnas.cells import CellTemplate, DiscreteArch, derive_discrete
+from rcnas.cells import ArchParams, CellTemplate, DiscreteArch, derive_discrete
 from rcnas.cost import (
     METRICS,
     ConstraintBox,
@@ -113,7 +113,10 @@ def test_cost_gradient_matches_finite_differences():
 def test_saturated_expected_equals_exact():
     plan = _micro_plan()
     table = build_cost_table(plan)
-    net = Supernet(plan, seed=3, theta_init_scale=1.0)
+    net = Supernet(plan, seed=3)
+    # the logits that Supernet(plan, 3) draws, at scale 1 rather than 1e-3
+    theta_rng = np.random.default_rng(np.random.SeedSequence(3).spawn(2)[1])
+    net.arch.load(ArchParams(plan.templates(), theta_rng, init_scale=1.0).numpy())
     arch = derive_discrete(net.arch.numpy(), plan.templates())
     theta = saturate_theta(arch, plan.templates())
     phi = expected_cost(theta, table, CostScope.TOP_K)

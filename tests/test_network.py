@@ -72,10 +72,6 @@ def test_plan_validation():
         _plan(init_channels=6)  # group-of-4 connection conv needs divisibility
     with pytest.raises(ValueError):
         NetworkPlan(n_cells=6, init_channels=4, image_hw=(10, 10))  # 10 % 4 != 0
-    with pytest.raises(ValueError):
-        _plan(n_cells=3, image_hw=(8, 8), reduction_positions=(1, 1))
-    with pytest.raises(ValueError):
-        _plan(n_cells=3, image_hw=(8, 8), reduction_positions=(5,))
     # odd init_channels fine without connection cells
     NetworkPlan(n_cells=2, init_channels=6, image_hw=(8, 8), use_connection=False,
                 n_classes=4, n_nodes=4, k_levels=1)

@@ -232,7 +232,7 @@ def _reference_project(theta, box, table, scope, cfg, lam1, lam2):
         return anchor, 0, True, phi, objectives
     keys = list(anchor)
     holders = [Tensor(anchor[k].copy(), requires_grad=True) for k in keys]
-    opt = Adam(holders, lr=cfg.lr, betas=cfg.betas)
+    opt = Adam(holders, lr=cfg.lr, betas=(0.5, 0.999))
     for it in range(1, cfg.max_iters + 1):
         current = {k: t.data for k, t in zip(keys, holders)}
         g = lagrangian_grad(current, anchor, box, table, scope, lam1, lam2, frozen)
