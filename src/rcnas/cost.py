@@ -22,6 +22,7 @@ gradient has the closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -55,12 +56,27 @@ class CostScope(Enum):
     TOP_K = "topk"
 
 
+def _metric_floats(phi: np.ndarray) -> list[float]:
+    """A cost vector as one Python float per metric; raises ValueError
+    unless it holds exactly one value per metric."""
+    phi = np.asarray(phi, dtype=np.float64)
+    if phi.shape != (N_METRICS,):
+        raise ValueError(f"cost vector must have shape ({N_METRICS},), got {phi.shape}")
+    return phi.tolist()
+
+
 @dataclass(frozen=True)
 class ConstraintBox:
-    """Per-metric closed interval [lower, upper] on the expected cost."""
+    """Per-metric closed interval [lower, upper] on the expected cost.
+
+    ``bounds`` holds the same bounds as one (lower, upper) pair of Python
+    floats per metric: the membership test and the hinge distances run on
+    the metrics as floats, the same IEEE-754 operations numpy would run on
+    two-element arrays, without its per-call overhead."""
 
     lower: np.ndarray
     upper: np.ndarray
+    bounds: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=np.float64)
@@ -75,6 +91,7 @@ class ConstraintBox:
             raise ValueError("lower bounds must be finite and non-negative")
         if np.any(lo > hi):
             raise ValueError(f"empty box: lower {lo} exceeds upper {hi}")
+        object.__setattr__(self, "bounds", tuple(zip(lo.tolist(), hi.tolist())))
 
     @classmethod
     def unbounded(cls) -> "ConstraintBox":
@@ -82,24 +99,23 @@ class ConstraintBox:
 
     def feasible(self, phi: np.ndarray, tol: float = 1e-6) -> bool:
         """Membership with relative slack ``tol`` on each finite bound."""
-        phi = np.asarray(phi, dtype=np.float64)
-        lo_ok = phi >= self.lower - tol * np.abs(self.lower)
-        slack = np.where(np.isfinite(self.upper), tol * np.abs(self.upper), 0.0)
-        hi_ok = phi <= self.upper + slack
-        return bool(np.all(lo_ok) and np.all(hi_ok))
+        for p, (lo, hi) in zip(_metric_floats(phi), self.bounds):
+            if not (p >= lo - tol * abs(lo) and p <= (hi if hi == math.inf else hi + tol * abs(hi))):
+                return False
+        return True
 
 
 def violation(phi: np.ndarray, box: ConstraintBox) -> tuple[np.ndarray, np.ndarray]:
     """Hinge distances to the box: (max(C_L - phi, 0), max(phi - C_H, 0)).
 
-    Both are zero exactly on the (closed) box, boundary included.
+    Both are zero exactly on the (closed) box, boundary included, and the
+    upper one is zero under an infinite bound. A NaN cost gives NaN.
     """
-    phi = np.asarray(phi, dtype=np.float64)
-    lower_v = np.maximum(box.lower - phi, 0.0)
-    with np.errstate(invalid="ignore"):
-        upper_v = np.maximum(phi - box.upper, 0.0)
-    upper_v = np.where(np.isfinite(box.upper), upper_v, 0.0)
-    return lower_v, upper_v
+    lower_v, upper_v = [], []
+    for p, (lo, hi) in zip(_metric_floats(phi), box.bounds):
+        lower_v.append(max(lo - p, 0.0))
+        upper_v.append(0.0 if hi == math.inf else max(p - hi, 0.0))
+    return np.array(lower_v), np.array(upper_v)
 
 
 @dataclass(frozen=True)
@@ -114,6 +130,9 @@ class EdgeCost:
 
 
 ThetaMap = dict[ThetaKey, np.ndarray]
+# a TopK edge selection held fixed: the edge sets per cell kind, as
+# ``scope_edges`` returns them, or the boolean key mask ``scope_mask`` makes of them
+FrozenScope = dict[str, frozenset] | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +153,7 @@ class CostTable:
     sizes: tuple[int, ...] = field(init=False, repr=False)  # ops per key
     U: np.ndarray = field(init=False, repr=False)  # (K, N_METRICS, O)
     valid: np.ndarray = field(init=False, repr=False)  # (K, O) bool
+    valid_at: np.ndarray = field(init=False, repr=False)  # flat positions of the valid cells, in key order
 
     def __post_init__(self):
         keys = tuple(cells.theta_keys(self.templates))
@@ -155,7 +175,9 @@ class CostTable:
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "valid", np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None])
+        valid = np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None]
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "valid_at", np.flatnonzero(valid))
 
     def theta_keys(self) -> list[ThetaKey]:
         return list(self.keys)
@@ -189,19 +211,25 @@ class CostTable:
 
     def softmax(self, flat: np.ndarray) -> np.ndarray:
         """Per-key softmax on the (K, O) grid; padding gets weight zero."""
-        z = np.full(self.valid.shape, -np.inf)
-        z[self.valid] = flat
+        z = np.full(self.valid.size, -np.inf)
+        z[self.valid_at] = flat
+        z = z.reshape(self.valid.shape)
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
     def scope_mask(
-        self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: dict[str, frozenset] | None = None
+        self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: FrozenScope | None = None
     ) -> np.ndarray | None:
         """Boolean key mask of the edges a scope counts; None under FullDag.
         Under TopK it marks ``frozen_scope``'s edges, or, without one, the
-        edges ``scope_edges`` keeps for ``theta`` (a map or a flat vector)."""
+        edges ``scope_edges`` keeps for ``theta`` (a map or a flat vector).
+        A ``frozen_scope`` that is already such a key mask is returned as it
+        is, so a caller holding a scope fixed can freeze it once, as the mask
+        this returns."""
         if scope is CostScope.FULL_DAG:
             return None
+        if isinstance(frozen_scope, np.ndarray):
+            return frozen_scope
         if frozen_scope is None:
             frozen_scope = scope_edges(self.unflatten(theta) if isinstance(theta, np.ndarray) else theta, self.templates)
         return np.array([edge in frozen_scope[kind] for kind, edge in self.keys], dtype=bool)
@@ -255,14 +283,16 @@ def expected_cost(
     theta: ThetaMap | np.ndarray,
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
-    frozen_scope: dict[str, frozenset] | None = None,
+    frozen_scope: FrozenScope | None = None,
     grad: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Expected cost vector (params, flops) of the relaxed network.
 
     ``theta`` is a logits map or its flat vector in the table's key order.
-    ``frozen_scope`` overrides the TopK edge selection; projection uses it
-    to keep the active set fixed while logits move. With ``grad`` the same
+    ``frozen_scope`` overrides the TopK edge selection, as the per-kind edge
+    sets of ``scope_edges`` or the key mask ``CostTable.scope_mask`` makes of
+    them; projection passes the mask, built once per call, to keep the active
+    set fixed while logits move. With ``grad`` the same
     softmax and U.F also give dPhi/dtheta on the table's grid,
     (K, N_METRICS, O), returned second.
     """
@@ -277,12 +307,13 @@ def cost_gradient(
     theta: ThetaMap,
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
-    frozen_scope: dict[str, frozenset] | None = None,
+    frozen_scope: FrozenScope | None = None,
 ) -> ThetaMap:
     """dPhi/dtheta for every logits vector, shaped (N_METRICS, n_ops).
 
     Closed form per logits vector: F * (U - (U.F)) per metric, U summing
     the cells that share it; vectors outside the scope get exact zeros.
+    ``frozen_scope`` is as in ``expected_cost``: edge sets or the key mask.
     """
     _, g = expected_cost(theta, table, scope, frozen_scope, grad=True)
     return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.keys, table.sizes))}

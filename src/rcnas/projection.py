@@ -14,24 +14,29 @@ Both penalty weights decay geometrically across projection rounds, and at
 lambda = 0 the projection degenerates to the identity.
 
 The descent keeps the logits as one flat vector under one Adam, in the
-cost table's key order, and freezes the TopK edge set once per call. Each
-iteration evaluates the cost table once, with one ``expected_cost`` call on
-that flat vector at its new point: one softmax F over the table's grid, one
-contraction U.F per logits vector, Phi = fixed + the U.F rows inside the
-scope, and from the same F and U.F the gradient of Phi on the grid,
-F * (U - U.F) with the rows outside the scope zeroed. Phi gives h, the
-feasibility test and the next step's hinge coefficients, which weight that
-gradient into the gradient of h.
+cost table's key order. It freezes the TopK scope once per call, as the
+table's boolean key mask (``CostTable.scope_mask`` of the anchor), and
+hands that mask to every iteration. Each iteration evaluates the cost table
+once, with one ``expected_cost`` call on that flat vector at its new point:
+one softmax F over the table's grid, one contraction U.F per logits vector,
+Phi = fixed + the U.F rows inside the scope, and from the same F and U.F
+the gradient of Phi on the grid, F * (U - U.F) with the rows outside the
+scope zeroed. Phi gives h, the feasibility test and the next step's hinge
+coefficients, which weight that gradient into the gradient of h. The box
+arithmetic on the two metrics (``ConstraintBox.feasible``, ``violation``,
+the hinge sums and coefficients) runs on Python floats: the same IEEE-754
+operations in the same order as on two-element arrays, so the same bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Annotated
 
 import numpy as np
 
 from .autodiff import Tensor
-from .cost import ConstraintBox, CostScope, CostTable, ThetaMap, cost_gradient, expected_cost, scope_edges, violation
+from .cost import ConstraintBox, CostScope, CostTable, ThetaMap, cost_gradient, expected_cost, violation
 from .optim import Adam
 from .settings import check_ranges
 
@@ -61,14 +66,14 @@ def decay_lambda(cfg: ProjectionConfig, t: int) -> tuple[float, float]:
     return float(cfg.lambda1 * f), float(cfg.lambda2 * f)
 
 
-def _hinge_sums(phi: np.ndarray, box: ConstraintBox) -> tuple[float, float]:
-    lower_v, upper_v = violation(phi, box)
-    return float(lower_v.sum()), float(upper_v.sum())
+def _hinge_sums(lower_v: np.ndarray, upper_v: np.ndarray) -> tuple[float, float]:
+    """Total distance below and above the box, summed over the metrics."""
+    return sum(lower_v.tolist()), sum(upper_v.tolist())
 
 
 def _hinge_coefficients(lower_v: np.ndarray, upper_v: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
     """Per-metric weight of dPhi in dh: +lambda2 above the box, -lambda1 below."""
-    return lambda2 * (upper_v > 0).astype(np.float64) - lambda1 * (lower_v > 0).astype(np.float64)
+    return np.array([lambda2 * (up > 0) - lambda1 * (low > 0) for low, up in zip(lower_v.tolist(), upper_v.tolist())])
 
 
 def lagrangian(
@@ -87,7 +92,7 @@ def lagrangian(
         d = theta_p[key] - anchor
         sq += float(d @ d)
     phi = expected_cost(theta_p, table, scope, frozen_scope)
-    low, up = _hinge_sums(phi, box)
+    low, up = _hinge_sums(*violation(phi, box))
     return 0.5 * sq + lambda1 * low + lambda2 * up
 
 
@@ -107,7 +112,7 @@ def lagrangian_grad(
     phi = expected_cost(theta_p, table, scope, frozen_scope)
     coeff = _hinge_coefficients(*violation(phi, box), lambda1, lambda2)
     grads = {key: theta_p[key] - theta_anchor[key] for key in theta_anchor}
-    if np.any(coeff != 0.0):
+    if coeff.any():
         dphi = cost_gradient(theta_p, table, scope, frozen_scope)
         for key in grads:
             grads[key] = grads[key] + coeff @ dphi[key]
@@ -141,7 +146,7 @@ def project(
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     anchor = table.flatten(theta)
-    frozen = scope_edges(table.unflatten(anchor), table.templates) if scope is CostScope.TOP_K else None
+    frozen = table.scope_mask(anchor, scope)
     trajectory: list[dict] = []
 
     def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
@@ -150,8 +155,9 @@ def project(
         and dPhi on the table's grid from the same softmax."""
         phi, dphi = expected_cost(flat, table, scope, frozen, grad=True)
         lower_v, upper_v = violation(phi, box)
+        low, up = _hinge_sums(lower_v, upper_v)
         d = flat - anchor
-        h = 0.5 * float(d @ d) + lam1 * float(lower_v.sum()) + lam2 * float(upper_v.sum())
+        h = 0.5 * float(d @ d) + lam1 * low + lam2 * up
         if record_trajectory:
             trajectory.append(
                 {
@@ -159,7 +165,7 @@ def project(
                     "objective": h,
                     "phi_params": float(phi[0]),
                     "phi_flops": float(phi[1]),
-                    "violation": float(lower_v.sum() + upper_v.sum()),
+                    "violation": low + up,
                 }
             )
         return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2), dphi
@@ -176,12 +182,12 @@ def project(
     opt = Adam([holder], lr=cfg.lr, betas=(0.5, 0.999))
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
-        if np.any(coeff != 0.0):
+        if coeff.any():
             grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.valid]
         holder.grad = grad
         opt.step()
         phi, h, coeff, dphi = evaluate(it, holder.data)
-        if not np.isfinite(h) or not np.all(np.isfinite(phi)):
+        if not math.isfinite(h) or not np.isfinite(phi).all():
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):
             return ProjectionResult(table.unflatten(holder.data), it, True, phi, h, trajectory)

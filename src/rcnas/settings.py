@@ -6,6 +6,7 @@ them, with the keywords' defaults, and each call checks its values."""
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -24,9 +25,14 @@ def settings(call) -> dict[str, tuple[object, dict]]:
 
 
 def check_ranges(call, values: dict) -> None:
-    """Raise ValueError unless each setting of ``call`` in ``values`` lies in its range."""
+    """Raise ValueError unless each setting of ``call`` in ``values`` is
+    finite, if a float, and lies in its range. A bound alone would let an
+    infinity through (``inf >= 0`` holds)."""
     for name, (_, bounds) in settings(call).items():
+        value = values[name]
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
         for key, bound in bounds.items():
             passes, sign = _BOUNDS[key]
-            if not passes(values[name], bound):
-                raise ValueError(f"{name} must be {sign} {bound}, got {values[name]!r}")
+            if not passes(value, bound):
+                raise ValueError(f"{name} must be {sign} {bound}, got {value!r}")

@@ -19,6 +19,7 @@ from rcnas.exhaustive import MicroSpace
 from rcnas.network import NetworkPlan
 from rcnas.projection import ProjectionConfig
 from rcnas.search import LOG_COLUMNS, SearchConfig, retrain_eval
+from rcnas.settings import settings as call_settings
 
 PRIMARY_ARTIFACTS = [
     "manifest.json",
@@ -126,12 +127,12 @@ def test_each_config_section_holds_the_keywords_of_its_call(section, call, from_
 
 _CALLS = {"search": SearchConfig, "projection": ProjectionConfig, "plan": NetworkPlan, "eval": retrain_eval}
 # (section, setting, bound keyword, bound) of every bounded setting of the
-# four call sections; a tuple setting's bounds are those of its items
+# four call sections
 _BOUNDED = [
     (section, name, key, bound)
     for section in _CALLS
     for name, prop in CONFIG_SCHEMA["properties"][section]["properties"].items()
-    for key, bound in prop.get("items", prop).items()
+    for key, bound in prop.items()
     if key in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
 ]
 
@@ -139,21 +140,37 @@ _BOUNDED = [
 @pytest.mark.parametrize("section,name,key,bound", _BOUNDED, ids=[f"{s}.{n}.{k}" for s, n, k, _ in _BOUNDED])
 def test_a_setting_just_past_its_bound_raises_from_its_call(section, name, key, bound):
     prop = CONFIG_SCHEMA["properties"][section]["properties"][name]
-    integer = prop.get("items", prop)["type"] == "integer"
+    integer = prop["type"] == "integer"
     if key.startswith("exclusive"):
         bad = bound
     elif integer:
         bad = bound - 1 if key == "minimum" else bound + 1
     else:
         bad = math.nextafter(bound, -math.inf if key == "minimum" else math.inf)
-    if "items" in prop:  # the first item past the bound, the others default
-        bad = (bad, *(DEFAULT_CONFIG[section][name] or [])[1:])
     with pytest.raises(ValueError, match=name):
         if section == "eval":
             # no architecture, plan or data: it must raise before it trains
             retrain_eval(None, None, None, None, **{name: bad})
         else:
             _CALLS[section](**{name: bad})
+
+
+# (section, setting) of every float setting of the four calls, as each call declares it
+_FLOATS = [
+    (section, name) for section, call in _CALLS.items() for name, (kind, _) in call_settings(call).items() if kind is float
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,name", _FLOATS, ids=[f"{s}.{n}" for s, n in _FLOATS])
+def test_a_non_finite_float_setting_raises_from_its_call(section, name, value):
+    # a range such as lambda1 >= 0 holds for inf, so the call must refuse
+    # non-finite values itself: a library caller never passes the CLI's check
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        if section == "eval":
+            retrain_eval(None, None, None, None, **{name: value})
+        else:
+            _CALLS[section](**{name: value})
 
 
 def test_manifest_rerun_is_byte_identical(search_run, tmp_path):

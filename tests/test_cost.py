@@ -169,6 +169,75 @@ def test_feasible_uses_relative_slack():
     assert ConstraintBox.unbounded().feasible(np.array([1e18, 1e18]))
 
 
+def _numpy_feasible(box, phi, tol):
+    """The box test as numpy runs it on the bound arrays: the reference."""
+    phi = np.asarray(phi, dtype=np.float64)
+    lo_ok = phi >= box.lower - tol * np.abs(box.lower)
+    with np.errstate(invalid="ignore"):  # 0 * inf, discarded by the where
+        slack = np.where(np.isfinite(box.upper), tol * np.abs(box.upper), 0.0)
+    hi_ok = phi <= box.upper + slack
+    return bool(np.all(lo_ok) and np.all(hi_ok))
+
+
+def _numpy_violation(phi, box):
+    """The hinge distances as numpy computes them on the bound arrays: the reference."""
+    phi = np.asarray(phi, dtype=np.float64)
+    lower_v = np.maximum(box.lower - phi, 0.0)
+    with np.errstate(invalid="ignore"):
+        upper_v = np.maximum(phi - box.upper, 0.0)
+    upper_v = np.where(np.isfinite(box.upper), upper_v, 0.0)
+    return lower_v, upper_v
+
+
+def _box_cases(rng, tol):
+    """Seeded (box, phi) pairs. Lower bounds are zero or positive, upper
+    ones finite, equal to the lower one or infinite. Each metric takes NaN,
+    the infinities, a negative value, a random one, and each finite bound
+    and its slack edge exactly and one ulp either side."""
+    for _ in range(40):
+        lo = np.where(rng.random(2) < 0.3, 0.0, rng.uniform(0.0, 1e4, 2))
+        hi = lo + np.where(rng.random(2) < 0.2, 0.0, rng.uniform(0.0, 1e4, 2))
+        hi = np.where(rng.random(2) < 0.3, np.inf, hi)
+        box = ConstraintBox(lo, hi)
+        values = []
+        for m in range(2):
+            vals = [np.nan, np.inf, -np.inf, -1.0, rng.uniform(0.0, 3e4)]
+            edges = [lo[m], lo[m] - tol * abs(lo[m])]
+            if np.isfinite(hi[m]):
+                edges += [hi[m], hi[m] + tol * abs(hi[m])]
+            for e in edges:
+                vals += [e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf)]
+            values.append(vals)
+        for a in values[0]:
+            for b in values[1]:
+                yield box, np.array([a, b])
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-6])
+def test_scalar_box_matches_the_numpy_formula_bit_for_bit(tol):
+    rng = np.random.default_rng(np.random.SeedSequence(53))
+    n = 0
+    for box, phi in _box_cases(rng, tol):
+        assert box.feasible(phi, tol) is _numpy_feasible(box, phi, tol), (box, phi)
+        lower_v, upper_v = violation(phi, box)
+        ref_lower, ref_upper = _numpy_violation(phi, box)
+        assert lower_v.dtype == upper_v.dtype == np.float64
+        assert lower_v.tobytes() == ref_lower.tobytes(), (box, phi)
+        assert upper_v.tobytes() == ref_upper.tobytes(), (box, phi)
+        n += 1
+    assert n > 4000
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_box_refuses_a_cost_vector_of_the_wrong_length(n):
+    # numpy would broadcast a length-1 vector against the bounds
+    box = ConstraintBox(np.zeros(2), np.array([10.0, np.inf]))
+    with pytest.raises(ValueError, match="shape"):
+        box.feasible(np.ones(n))
+    with pytest.raises(ValueError, match="shape"):
+        violation(np.ones(n), box)
+
+
 def test_box_validation():
     with pytest.raises(ValueError):
         ConstraintBox(np.array([5.0, 0.0]), np.array([1.0, 10.0]))
@@ -358,6 +427,29 @@ def test_flat_logits_and_grad_match_the_map_forms(scope):
         assert not grid[~table.valid[:, None, :].repeat(grid.shape[1], axis=1)].any()
         for k, (key, g) in enumerate(cost_gradient(theta, table, sc, frozen).items()):
             assert grid[k, :, : g.shape[1]].tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("plan", [SHAPES_4CELL, _micro_plan()], ids=["shapes_4cell", "micro"])
+def test_frozen_scope_as_key_mask_matches_its_edge_sets(plan):
+    table = build_cost_table(plan)
+    rng = np.random.default_rng(np.random.SeedSequence(47))
+    for _ in range(4):
+        anchor = _draw_theta(table, rng)
+        edges = scope_edges(anchor, table.templates)
+        mask = table.scope_mask(anchor, CostScope.TOP_K)
+        assert mask.dtype == bool and mask.shape == (len(table.keys),)
+        assert mask.tobytes() == table.scope_mask(anchor, CostScope.TOP_K, edges).tobytes()
+        assert table.scope_mask(_draw_theta(table, rng), CostScope.TOP_K, mask) is mask
+        assert table.scope_mask(anchor, CostScope.FULL_DAG, mask) is None
+        theta = _draw_theta(table, rng, scale=2.0)
+        for th in (theta, table.flatten(theta)):
+            phi_e, grid_e = expected_cost(th, table, CostScope.TOP_K, edges, grad=True)
+            phi_m, grid_m = expected_cost(th, table, CostScope.TOP_K, mask, grad=True)
+            assert phi_m.tobytes() == phi_e.tobytes()
+            assert grid_m.tobytes() == grid_e.tobytes()
+        by_edges = cost_gradient(theta, table, CostScope.TOP_K, edges)
+        by_mask = cost_gradient(theta, table, CostScope.TOP_K, mask)
+        assert all(by_mask[key].tobytes() == by_edges[key].tobytes() for key in table.keys)
 
 
 def test_packed_rows_sum_cells_sharing_logits():

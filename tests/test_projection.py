@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rcnas import cells as cells_module
 from rcnas import cost as cost_module
 from rcnas import ops
 from rcnas import projection as projection_module
@@ -365,3 +366,24 @@ def test_project_evaluates_the_cost_table_once_per_iteration(scope, monkeypatch)
     res = project(theta, box, table, scope, ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=300, lr=3e-3))
     assert res.iterations > 10
     assert calls == {"softmax": res.iterations + 1, "flatten": 1, "expected_cost": res.iterations + 1, "cost_gradient": 0}
+
+
+@pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
+def test_project_freezes_the_scope_once(scope, monkeypatch):
+    table = _shapes_4cell_table()
+    rng = np.random.default_rng(np.random.SeedSequence(29))
+    theta = {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()}
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cost_module, cells_module):
+        monkeypatch.setattr(module, "scope_edges", counted(module.scope_edges))
+    res = project(theta, _BOXES["upper"], table, scope, ProjectionConfig(lambda1=2.0, lambda2=2.0, max_iters=300, lr=3e-3))
+    assert res.iterations == 300
+    assert len(calls) == (1 if scope is CostScope.TOP_K else 0)
