@@ -8,9 +8,13 @@ eval`` (once as configured and once with ``"eval": {"cutout": true}``
 laid over a copy of the config), ``rcnas cost`` and ``rcnas export-dot``
 of each run's ``arch.json`` and ``rcnas enumerate --config
 configs/micro_enumerate.json``, and prints ``json.dumps(CONFIG_SCHEMA,
-sort_keys=True, indent=1)``, one line per property. It compares the six
+sort_keys=True, indent=1)``, one line per property. A second search runs
+the same config with ``constraints.upper`` set to BINDING_UPPER, a box its
+projection has to descend into, followed by ``rcnas cost`` of its
+``arch.json``. It compares the six
 primary artifacts, ``eval.json``, ``eval_cutout.json``, the stdout of cost,
-export-dot and enumerate, and the printed schema byte for byte, so a change
+export-dot and enumerate, the printed schema, and the binding search's six
+artifacts and cost stdout byte for byte, so a change
 that should leave the config schema alone is checked to accept and reject
 the same documents. Prints one line per output, and below each output that
 differs a unified diff of at most DIFF_LINES lines; exits 1 if any differs
@@ -28,8 +32,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-ARTIFACTS = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot", "eval.json", "eval_cutout.json")
+SEARCH = ("manifest.json", "arch.json", "search_log.csv", "projection_trace.csv", "cost_report.csv", "arch.dot")
+ARTIFACTS = SEARCH + ("eval.json", "eval_cutout.json")
 STDOUT = ("cost.stdout", "export-dot.stdout", "enumerate.stdout", "schema.stdout")  # each command's stdout, kept under this name
+# the binding search's artifacts and cost stdout, in its own directory;
+# under this box its three projection rounds take 43, 1 and 0 iterations
+BINDING_UPPER = [560.0, 33000.0]
+BINDING = tuple(f"binding/{name}" for name in SEARCH + ("cost.stdout",))
+OUTPUTS = ARTIFACTS + STDOUT + BINDING
 SCHEMA = "import json; from rcnas.cli import CONFIG_SCHEMA; print(json.dumps(CONFIG_SCHEMA, sort_keys=True, indent=1))"
 CONFIG = "configs/toy_blobs.json"
 WORK_TREE = Path(__file__).resolve().parent.parent
@@ -38,27 +48,31 @@ DIFF_LINES = 40
 
 def run_tree(tree: Path, out: Path) -> None:
     """One search, then an eval without and with cutout, a cost report and
-    a DOT export of its architecture, an enumeration and the config schema,
-    from ``tree``'s own source and configs, written to ``out``."""
+    a DOT export of its architecture, an enumeration, the config schema, and
+    the binding search with its cost report, from ``tree``'s own source and
+    configs, written to ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cli = [sys.executable, "-m", "rcnas.cli"]
     arch = str(out / "arch.json")
     cutout = out / "cutout_config.json"
+    binding = out / "binding_config.json"
     doc = json.loads((tree / CONFIG).read_text())
-    doc["eval"] = {**doc.get("eval", {}), "cutout": True}
     out.mkdir(parents=True)
-    cutout.write_text(json.dumps(doc))
+    cutout.write_text(json.dumps({**doc, "eval": {**doc.get("eval", {}), "cutout": True}}))
+    binding.write_text(json.dumps({**doc, "constraints": {**doc["constraints"], "upper": BINDING_UPPER}}))
     for args in (
         ["search", "--config", CONFIG, "--out", str(out)],
         ["eval", "--config", CONFIG, "--arch", arch, "--out", str(out / "eval.json")],
         ["eval", "--config", str(cutout), "--arch", arch, "--out", str(out / "eval_cutout.json")],
+        ["search", "--config", str(binding), "--out", str(out / "binding")],
     ):
         subprocess.run(cli + args, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
-    for name, command in zip(STDOUT, (
+    for name, command in zip(STDOUT + BINDING[-1:], (
         cli + ["cost", "--config", CONFIG, "--arch", arch],
         cli + ["export-dot", "--config", CONFIG, "--arch", arch],
         cli + ["enumerate", "--config", "configs/micro_enumerate.json"],
         [sys.executable, "-c", SCHEMA],
+        cli + ["cost", "--config", str(binding), "--arch", str(out / "binding" / "arch.json")],
     )):
         (out / name).write_bytes(subprocess.run(command, cwd=tree, env=env, check=True, capture_output=True).stdout)
 
@@ -80,7 +94,7 @@ def main() -> int:
             print(f"command failed: {exc}", file=sys.stderr)
             return 2
         differ = 0
-        for name in ARTIFACTS + STDOUT:
+        for name in OUTPUTS:
             before, after = ((tmp / run / name).read_bytes() for run in ("run_base", "run_work"))
             same = before == after
             differ += not same
@@ -91,7 +105,7 @@ def main() -> int:
                 print("\n".join(diff[:DIFF_LINES]))
                 if len(diff) > DIFF_LINES:
                     print(f"... {len(diff) - DIFF_LINES} more diff lines")
-    print(f"{len(ARTIFACTS) + len(STDOUT) - differ}/{len(ARTIFACTS) + len(STDOUT)} outputs byte-identical to {args.rev}")
+    print(f"{len(OUTPUTS) - differ}/{len(OUTPUTS)} outputs byte-identical to {args.rev}")
     return 1 if differ else 0
 
 

@@ -13,6 +13,7 @@ connection cells (one input, one intermediate, one edge) share another.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -35,6 +36,8 @@ __all__ = [
     "normal_template",
     "connection_template",
     "theta_keys",
+    "LogitsLayout",
+    "logits_layout",
     "scope_edges",
     "MixedEdge",
     "mixed_edge_forward",
@@ -121,6 +124,7 @@ def connection_template(op_names: tuple[str, ...] = ops.CONNECTION_OPS) -> CellT
 
 
 ThetaKey = tuple[str, tuple[int, int]]
+ThetaMap = dict[ThetaKey, np.ndarray]
 
 
 def theta_keys(templates: dict[str, CellTemplate]) -> list[ThetaKey]:
@@ -167,27 +171,107 @@ class ArchParams:
         return h.hexdigest()
 
 
-def scope_edges(theta: dict[ThetaKey, np.ndarray], templates: dict[str, CellTemplate]) -> dict[str, frozenset]:
-    """Edges discretization keeps, per kind: per intermediate node j, the
-    kept_per_node(j) incoming edges of largest strength, ties preferring
-    the smaller predecessor. An edge's strength is its largest mixture
-    weight among non-zero ops; one row-wise softmax gives every edge of a
-    kind. The TopK cost scope counts the same edges, and shared logits make
-    them identical for every cell of a kind."""
-    kept: dict[str, frozenset] = {}
-    for kind, tpl in templates.items():
-        z = np.array([theta[(kind, edge)] for edge in tpl.edges()], dtype=np.float64)
-        w = np.exp(z - z.max(axis=1, keepdims=True))
-        w /= w.sum(axis=1, keepdims=True)
-        if tpl.zero_index is not None:
-            w = np.delete(w, tpl.zero_index, axis=1)
-        strength = dict(zip(tpl.edges(), w.max(axis=1)))
-        edges = set()
-        for j in tpl.intermediates:
-            ranked = sorted(tpl.predecessors(j), key=lambda i: (-strength[(i, j)], i))
-            edges.update((i, j) for i in ranked[: tpl.kept_per_node(j)])
-        kept[kind] = frozenset(edges)
-    return kept
+class LogitsLayout:
+    """Where every logits vector of a template set sits, and the TopK rule.
+
+    ``keys`` are ``theta_keys(templates)`` and ``sizes`` their op counts.
+    Logits travel as one flat vector, the keys' vectors concatenated in key
+    order, or on the (K, O) grid zero-padded to the widest template, whose
+    real cells ``valid`` marks. ``logits_layout`` keeps one per template set.
+    """
+
+    def __init__(self, templates: Iterable[tuple[str, CellTemplate]]):
+        templates = dict(templates)
+        self.keys = tuple(theta_keys(templates))
+        self.sizes = tuple(templates[kind].n_ops for kind, _ in self.keys)
+        sizes = np.array(self.sizes, dtype=np.intp)
+        self.valid = np.arange(sizes.max(initial=0))[None, :] < sizes[:, None]
+        self.valid.flags.writeable = False  # one layout serves every caller
+        starts = np.cumsum(sizes) - sizes
+        self._starts = tuple(starts.tolist())
+        # per op count and zero op, the keys' flat positions and non-zero ops:
+        # a padded row would sum its softmax denominator in another order,
+        # and so change the last bit that breaks exact ties
+        groups: dict[tuple[int, int | None], list[int]] = {}
+        for k, (kind, _) in enumerate(self.keys):
+            groups.setdefault((self.sizes[k], templates[kind].zero_index), []).append(k)
+        self._blocks = [
+            (np.array(rows), starts[rows][:, None] + np.arange(n), np.array([o for o in range(n) if o != zero]))
+            for (n, zero), rows in groups.items()
+        ]
+        # keys come grouped by node with predecessor i at place i, so ranking by node
+        # first leaves each group in place, and rank i is kept when key i would be
+        self._pred = np.array([i for _, (i, _) in self.keys], dtype=np.intp)
+        self._node = np.cumsum(self._pred == 0)
+        self._keep = np.array([i < templates[kind].kept_per_node(j) for kind, (i, j) in self.keys], dtype=bool)
+
+    def flatten(self, theta: ThetaMap) -> np.ndarray:
+        """The logits map as one flat float64 vector in key order. Raises
+        ValueError naming a missing key, an extra key or a wrong-length vector."""
+        vecs = []
+        for key, n in zip(self.keys, self.sizes):
+            try:
+                v = theta[key]
+            except KeyError:
+                raise ValueError(f"logits map is missing key {key!r}") from None
+            shape = v.shape if isinstance(v, np.ndarray) else np.shape(v)
+            if shape != (n,):
+                raise ValueError(f"logits for {key!r} have shape {shape}, expected ({n},)")
+            vecs.append(v)
+        if len(theta) != len(self.keys):
+            extra = next(key for key in theta if key not in set(self.keys))
+            raise ValueError(f"logits map has extra key {extra!r}")
+        return np.concatenate(vecs, dtype=np.float64)
+
+    def unflatten(self, flat: np.ndarray) -> ThetaMap:
+        """Views of a flat vector, keyed in key order."""
+        return {key: flat[a : a + n] for key, a, n in zip(self.keys, self._starts, self.sizes)}
+
+    def softmax(self, flat: np.ndarray) -> np.ndarray:
+        """Per-key softmax on the (K, O) grid; padding gets weight zero."""
+        z = np.full(self.valid.shape, -np.inf)
+        z[self.valid] = flat
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def topk(self, flat: np.ndarray) -> np.ndarray:
+        """Boolean key mask of the edges discretization keeps: per
+        intermediate node j, the kept_per_node(j) incoming edges of largest
+        strength, ties preferring the smaller predecessor. An edge's
+        strength is its largest mixture weight among non-zero ops."""
+        strength = np.empty(len(self.keys))
+        for rows, at, real in self._blocks:
+            z = flat[at]
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            # max(e) / sum is max(e / sum): dividing by one positive sum keeps the order
+            strength[rows] = e[:, real].max(axis=1) / e.sum(axis=1)
+        mask = np.empty(len(self.keys), dtype=bool)
+        mask[np.lexsort((self._pred, -strength, self._node))] = self._keep
+        return mask
+
+    def best_ops(self, flat: np.ndarray) -> np.ndarray:
+        """Per key, the op index of its largest non-zero logit; ties prefer
+        the smaller op index."""
+        best = np.empty(len(self.keys), dtype=np.intp)
+        for rows, at, real in self._blocks:
+            best[rows] = real[flat[at][:, real].argmax(axis=1)]
+        return best
+
+
+_layouts = functools.lru_cache(maxsize=64)(LogitsLayout)
+
+
+def logits_layout(templates: dict[str, CellTemplate]) -> LogitsLayout:
+    """The layout of a template set, built once per distinct set."""
+    return _layouts(tuple(templates.items()))
+
+
+def scope_edges(theta: ThetaMap | np.ndarray, templates: dict[str, CellTemplate]) -> np.ndarray:
+    """The edges discretization keeps for a logits map or its flat vector, as
+    ``LogitsLayout.topk``'s mask over ``theta_keys(templates)``. The TopK cost
+    scope counts them, and shared logits keep them for every cell of a kind."""
+    layout = logits_layout(templates)
+    return layout.topk(theta if isinstance(theta, np.ndarray) else layout.flatten(theta))
 
 
 class MixedEdge:
@@ -377,16 +461,13 @@ def derive_discrete(theta: dict[ThetaKey, np.ndarray], templates: dict[str, Cell
     smaller op index). The result is invariant to adding a constant to any
     single edge's logits.
     """
-    kept = scope_edges(theta, templates)
-    choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = {}
-    for kind, tpl in templates.items():
-        real = np.array([o for o, name in enumerate(tpl.op_names) if name != ops.ZERO])
-        picks: dict[int, list[tuple[int, str]]] = {j: [] for j in tpl.intermediates}
-        for i, j in sorted(kept[kind]):  # each node's predecessors in ascending order
-            # argmax returns the first maximum: ties prefer the smaller op index
-            op_idx = real[np.asarray(theta[(kind, (i, j))], dtype=np.float64)[real].argmax()]
-            picks[j].append((i, tpl.op_names[op_idx]))
-        choices[kind] = {j: tuple(p) for j, p in picks.items()}
+    layout = logits_layout(templates)
+    flat = layout.flatten(theta)
+    best = layout.best_ops(flat)
+    choices = {kind: {j: () for j in tpl.intermediates} for kind, tpl in templates.items()}
+    for k in np.flatnonzero(layout.topk(flat)):  # key order: each node's predecessors ascending
+        kind, (i, j) = layout.keys[k]
+        choices[kind][j] += ((i, templates[kind].op_names[best[k]]),)
     arch = DiscreteArch(choices)
     arch.validate(templates)
     return arch

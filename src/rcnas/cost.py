@@ -16,9 +16,10 @@ FullDag every edge counts.
 
 Because cells sharing a logits vector only ever add their rows, the model
 works on the per-vector sums, which the table holds from the moment it is
-built as a dense U[key, metric, op] (see ``CostTable``). With the scope as
-a boolean key mask, Phi = fixed + sum_k mask_k * U_k . F_k and the
-gradient has the closed form  dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
+built as a dense U[key, metric, op] (see ``CostTable``). The TopK scope is
+a boolean key mask (``scope_edges``), so Phi = fixed + sum_k mask_k *
+U_k . F_k and the gradient has the closed form
+dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import cells, ops
-from .cells import ThetaKey, scope_edges
+from .cells import ThetaKey, ThetaMap, scope_edges
 from .network import FIXED_LINK_OP, Layout, NetworkPlan
 
 __all__ = [
@@ -129,37 +130,26 @@ class EdgeCost:
     u: np.ndarray  # (N_METRICS, n_ops)
 
 
-ThetaMap = dict[ThetaKey, np.ndarray]
-# a TopK edge selection held fixed: the edge sets per cell kind, as
-# ``scope_edges`` returns them, or the boolean key mask ``scope_mask`` makes of them
-FrozenScope = dict[str, frozenset] | np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class CostTable:
     """theta-free cost data for a plan: per-edge op costs plus fixed costs.
 
-    Building the table sums its entries into one row per logits vector, in
-    ``cells.theta_keys`` order: ``U[k, m, o]`` is metric m of op o summed
-    over every cell that shares vector ``keys[k]``, zero-padded to the
-    widest template; ``valid[k, o]`` marks the real ops. Logits travel as
-    one flat vector: the keys' vectors concatenated in the same order.
+    Building the table sums its entries into one row per logits vector, on
+    the grid of its templates' ``cells.LogitsLayout``: ``U[k, m, o]`` is
+    metric m of op o summed over every cell that shares vector
+    ``layout.keys[k]``, zero-padded to the widest template.
     """
 
     entries: list[EdgeCost]
     fixed: np.ndarray  # (N_METRICS,)
     templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
-    keys: tuple[ThetaKey, ...] = field(init=False, repr=False)
-    sizes: tuple[int, ...] = field(init=False, repr=False)  # ops per key
+    layout: cells.LogitsLayout = field(init=False, repr=False)
     U: np.ndarray = field(init=False, repr=False)  # (K, N_METRICS, O)
-    valid: np.ndarray = field(init=False, repr=False)  # (K, O) bool
-    valid_at: np.ndarray = field(init=False, repr=False)  # flat positions of the valid cells, in key order
 
     def __post_init__(self):
-        keys = tuple(cells.theta_keys(self.templates))
-        sizes = tuple(self.templates[kind].n_ops for kind, _ in keys)
-        width = max(sizes, default=0)
-        row = {key: k for k, key in enumerate(keys)}
+        layout = cells.logits_layout(self.templates)
+        sizes, width = layout.sizes, layout.valid.shape[1]
+        row = {key: k for k, key in enumerate(layout.keys)}
         rows = np.zeros(len(self.entries), dtype=np.intp)
         blocks = np.zeros((len(self.entries), N_METRICS, width))
         for i, e in enumerate(self.entries):
@@ -170,69 +160,22 @@ class CostTable:
             if e.u.shape != (N_METRICS, sizes[k]):
                 raise ValueError(f"cost entry {e.owner!r} {key!r} has shape {e.u.shape}, expected {(N_METRICS, sizes[k])}")
             blocks[i, :, : sizes[k]] = e.u
-        U = np.zeros((len(keys), N_METRICS, width))
+        U = np.zeros((len(layout.keys), N_METRICS, width))
         np.add.at(U, rows, blocks)  # in entry order, as the cells sharing a key add up
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "U", U)
-        valid = np.arange(width)[None, :] < np.array(sizes, dtype=np.intp)[:, None]
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "valid_at", np.flatnonzero(valid))
 
     def theta_keys(self) -> list[ThetaKey]:
-        return list(self.keys)
+        return list(self.layout.keys)
 
-    def flatten(self, theta: ThetaMap) -> np.ndarray:
-        """The logits map as one flat float64 vector in key order. Raises
-        ValueError naming a missing key, an extra key or a wrong-length vector."""
-        vecs = []
-        for key, n in zip(self.keys, self.sizes):
-            try:
-                v = theta[key]
-            except KeyError:
-                raise ValueError(f"logits map is missing key {key!r}") from None
-            shape = v.shape if isinstance(v, np.ndarray) else np.shape(v)
-            if shape != (n,):
-                raise ValueError(f"logits for {key!r} have shape {shape}, expected ({n},)")
-            vecs.append(v)
-        if len(theta) != len(self.keys):
-            extra = next(key for key in theta if key not in set(self.keys))
-            raise ValueError(f"logits map has extra key {extra!r}")
-        return np.concatenate(vecs, dtype=np.float64)
-
-    def unflatten(self, flat: np.ndarray) -> ThetaMap:
-        """Views of a flat vector, keyed in key order."""
-        out = {}
-        start = 0
-        for key, n in zip(self.keys, self.sizes):
-            out[key] = flat[start : start + n]
-            start += n
-        return out
-
-    def softmax(self, flat: np.ndarray) -> np.ndarray:
-        """Per-key softmax on the (K, O) grid; padding gets weight zero."""
-        z = np.full(self.valid.size, -np.inf)
-        z[self.valid_at] = flat
-        z = z.reshape(self.valid.shape)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-    def scope_mask(
-        self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: FrozenScope | None = None
-    ) -> np.ndarray | None:
+    def scope_mask(self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: np.ndarray | None = None) -> np.ndarray | None:
         """Boolean key mask of the edges a scope counts; None under FullDag.
-        Under TopK it marks ``frozen_scope``'s edges, or, without one, the
-        edges ``scope_edges`` keeps for ``theta`` (a map or a flat vector).
-        A ``frozen_scope`` that is already such a key mask is returned as it
-        is, so a caller holding a scope fixed can freeze it once, as the mask
-        this returns."""
+        Under TopK it is ``frozen_scope``, or, without one, the mask
+        ``scope_edges`` makes of ``theta`` (a map or a flat vector), so a
+        caller holding the scope fixed freezes it once, as this mask."""
         if scope is CostScope.FULL_DAG:
             return None
-        if isinstance(frozen_scope, np.ndarray):
-            return frozen_scope
-        if frozen_scope is None:
-            frozen_scope = scope_edges(self.unflatten(theta) if isinstance(theta, np.ndarray) else theta, self.templates)
-        return np.array([edge in frozen_scope[kind] for kind, edge in self.keys], dtype=bool)
+        return frozen_scope if frozen_scope is not None else scope_edges(theta, self.templates)
 
     def evaluate(self, F: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Phi of the mixture F on the grid, and the per-key costs U.F,
@@ -283,22 +226,21 @@ def expected_cost(
     theta: ThetaMap | np.ndarray,
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
-    frozen_scope: FrozenScope | None = None,
+    frozen_scope: np.ndarray | None = None,
     grad: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Expected cost vector (params, flops) of the relaxed network.
 
     ``theta`` is a logits map or its flat vector in the table's key order.
-    ``frozen_scope`` overrides the TopK edge selection, as the per-kind edge
-    sets of ``scope_edges`` or the key mask ``CostTable.scope_mask`` makes of
-    them; projection passes the mask, built once per call, to keep the active
-    set fixed while logits move. With ``grad`` the same
-    softmax and U.F also give dPhi/dtheta on the table's grid,
-    (K, N_METRICS, O), returned second.
+    ``frozen_scope`` overrides the TopK edge selection with a boolean key
+    mask, as ``scope_edges`` returns it; projection passes the mask of its
+    anchor, built once per call, to keep the active set fixed while logits
+    move. With ``grad`` the same softmax and U.F also give dPhi/dtheta on
+    the table's grid, (K, N_METRICS, O), returned second.
     """
-    flat = theta if isinstance(theta, np.ndarray) else table.flatten(theta)
-    F = table.softmax(flat)
-    mask = table.scope_mask(theta, scope, frozen_scope)
+    flat = theta if isinstance(theta, np.ndarray) else table.layout.flatten(theta)
+    F = table.layout.softmax(flat)
+    mask = table.scope_mask(flat, scope, frozen_scope)
     phi, mean = table.evaluate(F, mask)
     return (phi, table.gradient(F, mean, mask)) if grad else phi
 
@@ -307,16 +249,16 @@ def cost_gradient(
     theta: ThetaMap,
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
-    frozen_scope: FrozenScope | None = None,
+    frozen_scope: np.ndarray | None = None,
 ) -> ThetaMap:
     """dPhi/dtheta for every logits vector, shaped (N_METRICS, n_ops).
 
     Closed form per logits vector: F * (U - (U.F)) per metric, U summing
     the cells that share it; vectors outside the scope get exact zeros.
-    ``frozen_scope`` is as in ``expected_cost``: edge sets or the key mask.
+    ``frozen_scope`` is the key mask of ``expected_cost``.
     """
     _, g = expected_cost(theta, table, scope, frozen_scope, grad=True)
-    return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.keys, table.sizes))}
+    return {key: g[k, :, :n] for k, (key, n) in enumerate(zip(table.layout.keys, table.layout.sizes))}
 
 
 def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
@@ -344,7 +286,7 @@ def phi_range(table: CostTable) -> tuple[np.ndarray, np.ndarray]:
     Cells sharing a logits vector commit to the same op, so the extremes
     are taken over each vector's summed cost rows, per metric.
     """
-    real = table.valid[:, None, :]
+    real = table.layout.valid[:, None, :]
     lo = table.fixed + np.where(real, table.U, np.inf).min(axis=2).sum(axis=0)
     hi = table.fixed + np.where(real, table.U, -np.inf).max(axis=2).sum(axis=0)
     return lo, hi

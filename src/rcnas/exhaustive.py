@@ -29,7 +29,6 @@ __all__ = [
     "MicroSpace",
     "saturate_theta",
     "enumerate_vertex_costs",
-    "pareto_front",
     "score_archs",
     "resolve_workers",
 ]
@@ -145,37 +144,14 @@ def enumerate_vertex_costs(table: CostTable, ceiling: int = 200_000) -> np.ndarr
     reachable in the saturated limit.  Returns an array of shape
     (n_vertices, n_metrics) in canonical key-major order.
     """
-    n = math.prod(table.sizes)
+    n = math.prod(table.layout.sizes)
     if n > ceiling:
         raise SpaceTooLarge(f"{n} vertices exceed ceiling {ceiling}")
     out = np.asarray(table.fixed, dtype=np.float64)[None, :]
-    for u, size in zip(table.U, table.sizes):
+    for u, size in zip(table.U, table.layout.sizes):
         # every vertex so far, extended by each op of this key (key-major order)
         out = (out[:, None, :] + u[:, :size].T[None, :, :]).reshape(-1, out.shape[1])
     return out
-
-
-def pareto_front(costs: np.ndarray, scores: np.ndarray) -> list[int]:
-    """Indices of non-dominated points: minimize every cost column,
-    maximize the score.  Ties kept (weak domination only removes points
-    that are strictly worse somewhere and no better anywhere)."""
-    costs = np.asarray(costs, dtype=np.float64)
-    scores = np.asarray(scores, dtype=np.float64)
-    n = costs.shape[0]
-    keep = []
-    for i in range(n):
-        dominated = False
-        for j in range(n):
-            if j == i:
-                continue
-            no_worse = np.all(costs[j] <= costs[i]) and scores[j] >= scores[i]
-            better = np.any(costs[j] < costs[i]) or scores[j] > scores[i]
-            if no_worse and better:
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    return keep
 
 
 def resolve_workers(requested: int | None = None) -> int:

@@ -15,7 +15,7 @@ lambda = 0 the projection degenerates to the identity.
 
 The descent keeps the logits as one flat vector under one Adam, in the
 cost table's key order. It freezes the TopK scope once per call, as the
-table's boolean key mask (``CostTable.scope_mask`` of the anchor), and
+boolean key mask ``CostTable.scope_mask`` makes of the anchor, and
 hands that mask to every iteration. Each iteration evaluates the cost table
 once, with one ``expected_cost`` call on that flat vector at its new point:
 one softmax F over the table's grid, one contraction U.F per logits vector,
@@ -145,7 +145,7 @@ def project(
     start, which is zero, so the anchor is returned unchanged.
     """
     lam1, lam2 = cfg.lambda1, cfg.lambda2
-    anchor = table.flatten(theta)
+    anchor = table.layout.flatten(theta)
     frozen = table.scope_mask(anchor, scope)
     trajectory: list[dict] = []
 
@@ -172,10 +172,10 @@ def project(
 
     phi, h, coeff, dphi = evaluate(0, anchor)
     if box.feasible(phi, cfg.feas_tol):
-        return ProjectionResult(table.unflatten(anchor), 0, True, phi, h, trajectory)
+        return ProjectionResult(table.layout.unflatten(anchor), 0, True, phi, h, trajectory)
     if lam1 == 0.0 and lam2 == 0.0:
         # no penalty: h is minimized exactly at the anchor
-        return ProjectionResult(table.unflatten(anchor), 0, False, phi, h, trajectory)
+        return ProjectionResult(table.layout.unflatten(anchor), 0, False, phi, h, trajectory)
 
     # Adam is elementwise, so one flat holder steps exactly as one per logits vector
     holder = Tensor(anchor.copy(), requires_grad=True)
@@ -183,12 +183,12 @@ def project(
     for it in range(1, cfg.max_iters + 1):
         grad = holder.data - anchor
         if coeff.any():
-            grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.valid]
+            grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.layout.valid]
         holder.grad = grad
         opt.step()
         phi, h, coeff, dphi = evaluate(it, holder.data)
         if not math.isfinite(h) or not np.isfinite(phi).all():
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):
-            return ProjectionResult(table.unflatten(holder.data), it, True, phi, h, trajectory)
-    return ProjectionResult(table.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)
+            return ProjectionResult(table.layout.unflatten(holder.data), it, True, phi, h, trajectory)
+    return ProjectionResult(table.layout.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)

@@ -163,11 +163,24 @@ RANKING_TEMPLATES = {
     "zero_less": {
         "cell": CellTemplate(n_inputs=2, n_intermediate=2, op_names=(ops.IDENTITY, ops.MAX_POOL_3, ops.AVG_POOL_3))
     },
+    # a 4-op kind with a zero op and nodes of 3 and 4 predecessors beside an
+    # 8-op kind: its strengths must not be taken on rows padded to 8 ops
+    "mixed_width": {
+        "narrow": CellTemplate(
+            n_inputs=2, n_intermediate=3, op_names=(ops.ZERO, ops.IDENTITY, ops.MAX_POOL_3, ops.AVG_POOL_3)
+        ),
+        "wide": normal_template(5),
+        "connect": connection_template(),
+    },
 }
+# distinct values, so a permutation of them ties in exact arithmetic and
+# only the rounding of each edge's softmax breaks the tie
+PERMUTED_VALUES = np.array([1.0, 0.7, 0.35, 0.1, -0.3, -0.55, -0.9, -1.2])
 RANKING_LOGITS = {
     "normal": lambda rng, n: rng.standard_normal(n),
     "ties": lambda rng, n: rng.integers(-2, 3, size=n).astype(np.float64),
     "zeros": lambda rng, n: np.zeros(n),
+    "permuted": lambda rng, n: rng.permutation(PERMUTED_VALUES[:n]),
 }
 
 
@@ -182,7 +195,8 @@ def test_ranking_matches_per_edge_reference(space, logits):
             (kind, edge): RANKING_LOGITS[logits](rng, templates[kind].n_ops)
             for kind, edge in cells.theta_keys(templates)
         }
-        assert scope_edges(theta, templates) == _reference_scope_edges(theta, templates)
+        kept = _reference_scope_edges(theta, templates)
+        assert scope_edges(theta, templates).tolist() == [edge in kept[kind] for kind, edge in cells.theta_keys(templates)]
         assert derive_discrete(theta, templates).choices == _reference_choices(theta, templates)
 
 

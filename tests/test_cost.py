@@ -302,13 +302,14 @@ def test_frozen_scope_overrides_live_selection():
     theta0 = {key: np.zeros(len(table.templates[key[0]].op_names)) for key in table.theta_keys()}
     # ties keep preds (0, 1) for node 3
     frozen = scope_edges(theta0, table.templates)
-    assert (2, 3) not in frozen[kind]
+    edge_23 = table.theta_keys().index((kind, (2, 3)))
+    assert not frozen[edge_23]
 
     theta1 = {k: v.copy() for k, v in theta0.items()}
     idx = table.templates[kind].op_names.index(ops.SEP_CONV_5)
     theta1[(kind, (2, 3))][idx] = 6.0  # edge (2,3) now strongest, and expensive
     live = scope_edges(theta1, table.templates)
-    assert (2, 3) in live[kind]
+    assert live[edge_23]
     phi_live = expected_cost(theta1, table, CostScope.TOP_K)
     phi_frozen = expected_cost(theta1, table, CostScope.TOP_K, frozen_scope=frozen)
     assert phi_frozen[0] < phi_live[0]
@@ -349,14 +350,20 @@ def test_expected_cost_stays_within_phi_range(seed):
 # --- the packed cost model against the per-entry definition
 
 
+def _kept_keys(theta, table, scope, frozen_scope):
+    """The keys a scope counts, from its key mask; None under FullDag."""
+    if scope is CostScope.FULL_DAG:
+        return None
+    mask = frozen_scope if frozen_scope is not None else scope_edges(theta, table.templates)
+    return {key for key, kept in zip(table.theta_keys(), mask) if kept}
+
+
 def _reference_expected_cost(theta, table, scope, frozen_scope=None):
     """Phi summed entry by entry, one cell placement at a time."""
-    kept = None
-    if scope is CostScope.TOP_K:
-        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, table.templates)
+    kept = _kept_keys(theta, table, scope, frozen_scope)
     phi = table.fixed.copy()
     for e in table.entries:
-        if kept is not None and e.edge not in kept[e.kind]:
+        if kept is not None and (e.kind, e.edge) not in kept:
             continue
         z = theta[(e.kind, e.edge)]
         F = np.exp(z - z.max())
@@ -366,12 +373,10 @@ def _reference_expected_cost(theta, table, scope, frozen_scope=None):
 
 def _reference_cost_gradient(theta, table, scope, frozen_scope=None):
     """dPhi/dtheta summed entry by entry: F * (u - u.F) per placement."""
-    kept = None
-    if scope is CostScope.TOP_K:
-        kept = frozen_scope if frozen_scope is not None else scope_edges(theta, table.templates)
+    kept = _kept_keys(theta, table, scope, frozen_scope)
     grads = {key: np.zeros((2, len(theta[key]))) for key in table.theta_keys()}
     for e in table.entries:
-        if kept is not None and e.edge not in kept[e.kind]:
+        if kept is not None and (e.kind, e.edge) not in kept:
             continue
         z = theta[(e.kind, e.edge)]
         F = np.exp(z - z.max())
@@ -421,10 +426,10 @@ def test_flat_logits_and_grad_match_the_map_forms(scope):
         frozen = scope_edges(_draw_theta(table, rng), table.templates) if scope == "frozen" else None
         sc = CostScope.FULL_DAG if scope == "fulldag" else CostScope.TOP_K
         phi = expected_cost(theta, table, sc, frozen)
-        flat_phi, grid = expected_cost(table.flatten(theta), table, sc, frozen, grad=True)
+        flat_phi, grid = expected_cost(table.layout.flatten(theta), table, sc, frozen, grad=True)
         assert flat_phi.tobytes() == phi.tobytes()
         assert grid.shape == table.U.shape
-        assert not grid[~table.valid[:, None, :].repeat(grid.shape[1], axis=1)].any()
+        assert not grid[~table.layout.valid[:, None, :].repeat(grid.shape[1], axis=1)].any()
         for k, (key, g) in enumerate(cost_gradient(theta, table, sc, frozen).items()):
             assert grid[k, :, : g.shape[1]].tobytes() == g.tobytes()
 
@@ -437,24 +442,24 @@ def test_frozen_scope_as_key_mask_matches_its_edge_sets(plan):
         anchor = _draw_theta(table, rng)
         edges = scope_edges(anchor, table.templates)
         mask = table.scope_mask(anchor, CostScope.TOP_K)
-        assert mask.dtype == bool and mask.shape == (len(table.keys),)
+        assert mask.dtype == bool and mask.shape == (len(table.layout.keys),)
         assert mask.tobytes() == table.scope_mask(anchor, CostScope.TOP_K, edges).tobytes()
         assert table.scope_mask(_draw_theta(table, rng), CostScope.TOP_K, mask) is mask
         assert table.scope_mask(anchor, CostScope.FULL_DAG, mask) is None
         theta = _draw_theta(table, rng, scale=2.0)
-        for th in (theta, table.flatten(theta)):
+        for th in (theta, table.layout.flatten(theta)):
             phi_e, grid_e = expected_cost(th, table, CostScope.TOP_K, edges, grad=True)
             phi_m, grid_m = expected_cost(th, table, CostScope.TOP_K, mask, grad=True)
             assert phi_m.tobytes() == phi_e.tobytes()
             assert grid_m.tobytes() == grid_e.tobytes()
         by_edges = cost_gradient(theta, table, CostScope.TOP_K, edges)
         by_mask = cost_gradient(theta, table, CostScope.TOP_K, mask)
-        assert all(by_mask[key].tobytes() == by_edges[key].tobytes() for key in table.keys)
+        assert all(by_mask[key].tobytes() == by_edges[key].tobytes() for key in table.layout.keys)
 
 
 def test_packed_rows_sum_cells_sharing_logits():
     table = _single_edge_table([0.0, 1.0, 9216.0], copies=3)
-    assert table.keys == tuple(table.theta_keys())
+    assert table.layout.keys == tuple(table.theta_keys())
     np.testing.assert_array_equal(table.U[0], 3 * table.entries[0].u)
     np.testing.assert_array_equal(table.U[1], 0.0)
 

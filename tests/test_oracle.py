@@ -1,4 +1,4 @@
-"""Exhaustive enumeration oracle: counts, round-trips, Pareto sets, scoring."""
+"""Exhaustive enumeration oracle: counts, round-trips, scoring."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from rcnas.exhaustive import (
     SpaceTooLarge,
     count_archs,
     enumerate_archs,
-    pareto_front,
     resolve_workers,
     saturate_theta,
     score_archs,
@@ -95,42 +94,6 @@ def test_saturated_cost_matches_exact_everywhere(micro_plan):
         phi = expected_cost(theta, table, CostScope.TOP_K)
         exact = exact_cost(arch, micro_plan)
         np.testing.assert_allclose(phi, exact, rtol=1e-9)
-
-
-def test_pareto_single_point_is_kept():
-    assert pareto_front(np.array([[3.0, 4.0]]), np.array([0.5])) == [0]
-
-
-def test_pareto_equal_cost_keeps_better_score():
-    costs = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert pareto_front(costs, np.array([0.9, 0.8])) == [0]
-    # exact ties survive on both sides
-    assert pareto_front(costs, np.array([0.9, 0.9])) == [0, 1]
-
-
-def test_pareto_hand_case():
-    costs = np.array([[1.0], [2.0], [3.0], [4.0]])
-    scores = np.array([0.5, 0.7, 0.6, 0.9])
-    # index 2 is dominated by index 1 (cheaper and better); others survive
-    assert pareto_front(costs, scores) == [0, 1, 3]
-
-
-def test_pareto_matches_independent_reference():
-    rng = np.random.default_rng(np.random.SeedSequence(13))
-    costs = rng.integers(0, 6, size=(40, 2)).astype(float)
-    scores = rng.integers(0, 6, size=40).astype(float)
-
-    def dominated(i):
-        return any(
-            np.all(costs[j] <= costs[i])
-            and scores[j] >= scores[i]
-            and (np.any(costs[j] < costs[i]) or scores[j] > scores[i])
-            for j in range(len(scores))
-            if j != i
-        )
-
-    expected = [i for i in range(len(scores)) if not dominated(i)]
-    assert pareto_front(costs, scores) == expected
 
 
 def test_resolve_workers_env_cap(monkeypatch):

@@ -359,7 +359,7 @@ def test_project_evaluates_the_cost_table_once_per_iteration(scope, monkeypatch)
         return wrapper
 
     for name in ("softmax", "flatten"):
-        monkeypatch.setattr(CostTable, name, counted(name, getattr(CostTable, name)))
+        monkeypatch.setattr(cells_module.LogitsLayout, name, counted(name, getattr(cells_module.LogitsLayout, name)))
     for module in (cost_module, projection_module):
         for name in ("expected_cost", "cost_gradient"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
