@@ -16,8 +16,11 @@ and the inverse deviations, and ``conv_bn`` the conv input, ``xhat`` and
 the inverse deviations but never the conv output between them.
 
 A tensor is float32 when its data is and float64 otherwise, and every
-primitive computes and returns its inputs' dtype. Retraining runs in
-float32; the search, the cost model and the gradient checks in float64.
+primitive computes and returns its inputs' dtype; ``weighted_sum``
+computes in its summands' dtype and returns its weights' gradient in
+theirs. Training, the search's and retraining's, runs in float32; the
+architecture logits, Adam on them, the cost model, projection and the
+gradient checks run in float64.
 Everything is deterministic: the same inputs produce bit-identical outputs
 and gradients on every run.
 """
@@ -667,7 +670,8 @@ def weighted_sum(weights: Tensor, xs: Sequence[Tensor]) -> Tensor:
     for t in xs[1:]:
         if t.shape != shape:
             raise ShapeError("weighted_sum", f"summand shapes differ: {shape} vs {t.shape}")
-    wd = weights.data
+    # in the summands' dtype: float64 weights would promote float32 summands
+    wd = weights.data.astype(np.result_type(*(t.data.dtype for t in xs)), copy=False)
     acc = wd[0] * xs[0].data
     for i in range(1, len(xs)):
         acc = acc + wd[i] * xs[i].data
@@ -675,7 +679,7 @@ def weighted_sum(weights: Tensor, xs: Sequence[Tensor]) -> Tensor:
 
     def bwd(g):
         if weights.requires_grad:
-            dw = np.array([np.vdot(g, t.data) for t in xs])
+            dw = np.array([np.vdot(g, t.data) for t in xs], dtype=weights.data.dtype)
         else:
             dw = None
         dxs = tuple(wd[i] * g if xs[i].requires_grad else None for i in range(len(xs)))

@@ -308,8 +308,8 @@ def _step_forward(step: tuple, conv_weight, bn_params) -> Callable[[Tensor], Ten
         if mode == "max":
             return lambda x: max_pool2d(x, 3, stride, 1)
         return lambda x: avg_pool2d(x, 3, stride, 1)
-    shape = step[1:]  # "zero": a read-only zero-stride view, no array to pin
-    return lambda x: Tensor(np.broadcast_to(0.0, (x.shape[0],) + shape))
+    shape = step[1:]  # "zero": a read-only zero-stride view in x's dtype, no array to pin
+    return lambda x: Tensor(np.broadcast_to(x.data.dtype.type(0), (x.shape[0],) + shape))
 
 
 def build(kind: str, ctx: OpContext, rng: np.random.Generator, prefix: str = "op") -> OpInstance:

@@ -110,11 +110,24 @@ def _derive_seeds(seed: int) -> tuple[int, int, int, int]:
     return tuple(int(v) for v in s)
 
 
+def _in_float32(params, *datasets: Dataset) -> tuple[Dataset, ...]:
+    """The training precision, the search's and retraining's: each
+    dataset's images and then each weight (a float64 draw, rounded once)
+    cast to float32. Returns the cast datasets; an optimizer built on
+    ``params`` afterwards keeps its state in float32 too."""
+    cast = tuple(replace(ds, images=ds.images.astype(np.float32)) for ds in datasets)
+    for p in params:
+        p.data = p.data.astype(np.float32)
+    return cast
+
+
 def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
     """Shared preamble: split, normalize, model, streams, optimizers.
 
     Both the projected search and the flat reference loop call this, so a
-    degeneration comparison starts from bit-identical state.
+    degeneration comparison starts from bit-identical state. The supernet
+    trains in float32 (``_in_float32``); its logits and Adam on them stay
+    float64.
     """
     model_seed, split_seed, train_seed, val_seed = _derive_seeds(cfg.seed)
     val, train = split_dataset(ds, fraction=0.5, seed=split_seed)
@@ -123,6 +136,7 @@ def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
     val = normalize(val, mean, std)
 
     net = Supernet(plan, model_seed)
+    train, val = _in_float32(net.weight_params(), train, val)
     train_stream = BatchStream(train, cfg.batch_size, train_seed)
     if train_stream.batches_per_epoch == 0:
         raise ValueError("no training steps: dataset too small for the batch size")
@@ -285,19 +299,17 @@ def retrain_eval(
     One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
     3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
     optional cutout, and evaluation in batches of 256. Retraining runs in
-    float32, as DARTS retrains: the normalized images and the network's
-    weights (the float64 draws, rounded once) are cast, and the SGD state
-    follows the weights. The search and the cost model stay float64."""
+    float32, as the search's training does (``_in_float32``): the
+    normalized images and the network's weights are cast, and the SGD
+    state follows the weights. The cost model stays float64."""
     check_ranges(retrain_eval, locals())
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
     mean, std = normalization_stats(train)
     train_n = normalize(train, mean, std)
     eval_n = normalize(eval_ds, mean, std)
-    train_n, eval_n = (replace(ds, images=ds.images.astype(np.float32)) for ds in (train_n, eval_n))
 
     net = DiscreteNetwork(plan, arch, model_seed)
-    for p in net.weight_params():
-        p.data = p.data.astype(np.float32)
+    train_n, eval_n = _in_float32(net.weight_params(), train_n, eval_n)
     sgd = SGD(net.weight_params(), lr=lr, momentum=0.9, weight_decay=3e-4)
     stream = BatchStream(train_n, batch_size, stream_seed)
     aug_rng = np.random.default_rng(np.random.SeedSequence(aug_seed))

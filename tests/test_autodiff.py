@@ -524,3 +524,19 @@ def test_weighted_sum_matches_manual_combination(seed):
     out = ad.weighted_sum(Tensor(w), [Tensor(x) for x in xs])
     manual = sum(wi * xi for wi, xi in zip(w, xs))
     np.testing.assert_allclose(out.data, manual, atol=1e-12)
+
+
+def test_weighted_sum_computes_in_its_summands_dtype():
+    # a mixed edge: float64 softmax weights over float32 op outputs
+    rng = np.random.default_rng(0)
+    w = Tensor(ad.softmax(Tensor(rng.standard_normal(3))).data, requires_grad=True)
+    xs = [Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True) for _ in range(3)]
+    with Tape() as tape:
+        out = ad.weighted_sum(w, xs)
+        loss = ad.tensor_sum(out)
+    tape.backward(loss)
+    assert out.data.dtype == np.float32
+    assert w.grad.dtype == np.float64
+    assert [x.grad.dtype for x in xs] == [np.float32] * 3
+    w32 = w.data.astype(np.float32)
+    np.testing.assert_array_equal(out.data, w32[0] * xs[0].data + w32[1] * xs[1].data + w32[2] * xs[2].data)

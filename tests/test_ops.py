@@ -144,6 +144,13 @@ def test_zero_forward_is_zeros_with_output_shape():
     assert not out.data.any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zero_forward_keeps_its_input_dtype(dtype):
+    inst = ops.build(ops.ZERO, _ctx(c_in=4, c_out=4, hw=8), _rng())
+    out = inst(Tensor(np.ones((2, 4, 8, 8), dtype=dtype)))
+    assert out.data.dtype == dtype and not out.data.any()
+
+
 def test_identity_stride1_is_passthrough():
     inst = ops.build(ops.IDENTITY, _ctx(c_in=4, c_out=4, hw=8), _rng())
     x = Tensor(np.arange(4 * 64, dtype=np.float64).reshape(1, 4, 8, 8))

@@ -240,6 +240,38 @@ def test_one_retrain_step_runs_in_float32(monkeypatch):
     assert seen == {"outputs": f32, "grads": f32, "lr": {np.float64}, "after": f32}
 
 
+def test_one_phase1_step_trains_in_float32_and_keeps_the_logits_float64(monkeypatch):
+    # 4-node cells hold every op, the zero op among them
+    ds = make_blobs(32, (8, 8), seed=3)
+    net, train_stream, val_stream, sgd, adam = search_mod._setup(_plan(), ds, SearchConfig(batch_size=8, seed=0))
+    theta = net.theta_tensors()
+    tapes = []
+
+    class RecordingTape(Tape):
+        def backward(self, loss):
+            tapes.append([(out.data.dtype, bwd.__qualname__, any(t in theta for t in ins)) for out, ins, bwd in self._entries])
+            super().backward(loss)
+
+    batches = []
+    for stream in (train_stream, val_stream):
+        monkeypatch.setattr(stream, "next_batch", lambda nb=stream.next_batch: batches.append(nb()) or batches[-1])
+    monkeypatch.setattr(search_mod, "Tape", RecordingTape)
+    search_mod.phase1_step(net, sgd, adam, train_stream, val_stream, 0)
+
+    f32, f64 = np.dtype(np.float32), np.dtype(np.float64)
+    assert len(batches) == 2 and {x.dtype for x, _ in batches} == {f32}
+    assert {p.data.dtype for p in net.weight_params()} == {f32}
+    assert {v.dtype for v in sgd._velocity} == {f32}
+    assert {t.data.dtype for t in theta} == {t.grad.dtype for t in theta} == {f64}
+    assert {a.dtype for a in adam._m + adam._v} == {f64}
+    train_tape, val_tape = tapes
+    assert {dtype for dtype, _, _ in train_tape} == {f32}  # the logits are frozen: no softmax is recorded
+    # the logits' softmaxes, one per mixed edge, are the only float64 entries
+    reading_theta = [(dtype, name) for dtype, name, reads_theta in val_tape if reads_theta]
+    assert set(reading_theta) == {(f64, "softmax.<locals>.bwd")} and len(reading_theta) >= len(theta)
+    assert {dtype for dtype, _, reads_theta in val_tape if not reads_theta} == {f32}
+
+
 def test_retrain_eval_beats_chance_on_blobs():
     train = make_blobs(96, (8, 8), seed=10)
     eval_ds = make_blobs(48, (8, 8), seed=11)
