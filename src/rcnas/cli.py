@@ -37,7 +37,7 @@ from .cost import (
     expected_cost,
 )
 from .data import Dataset, FormatError, load_cifar10_binary, make_dataset
-from .exhaustive import MicroSpace, SpaceTooLarge, saturate_theta, score_archs
+from .exhaustive import MicroSpace, SpaceTooLarge, saturate_theta
 from .network import NetworkPlan
 from .projection import ProjectionConfig, ProjectionError
 from .search import LOG_COLUMNS, SearchAbort, SearchConfig, retrain_eval, run_search
@@ -115,7 +115,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "ceiling": {"type": "integer", "minimum": 1, "default": 10_000},
                 "score": {"type": "boolean", "default": False},
-                "workers": {"type": "integer", "minimum": 1, "default": 1},
             },
         },
     },
@@ -387,10 +386,10 @@ def _cmd_enumerate(args) -> int:
     rows = [[i, arch.arch_hash(), *exact_cost(arch, plan)] for i, arch in enumerate(space.archs)]
     header = ["index", "arch_hash", "params", "flops"]
     if en["score"]:
-        scores = score_archs(space.archs, plan, train, eval_ds, workers=en["workers"], **cfg["eval"])
+        # the call `eval` makes, so a row's accuracy is what `eval` reports
         header.append("accuracy")
-        for row, s in zip(rows, scores):
-            row.append(s)
+        for row, arch in zip(rows, space.archs):
+            row.append(retrain_eval(arch, plan, train, eval_ds, **cfg["eval"]).accuracy)
     text = _csv(header, rows)
     if out:
         out.write_text(text)

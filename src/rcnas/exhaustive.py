@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cells
 from .cells import CellTemplate, DiscreteArch
 from .cost import CostTable
 from .network import NetworkPlan
-from .search import retrain_eval
 
 __all__ = [
     "SpaceTooLarge",
@@ -29,8 +25,6 @@ __all__ = [
     "MicroSpace",
     "saturate_theta",
     "enumerate_vertex_costs",
-    "score_archs",
-    "resolve_workers",
 ]
 
 
@@ -82,7 +76,7 @@ def enumerate_archs(templates: dict[str, CellTemplate], ceiling: int = 10_000) -
         per_kind_choices.append(list(itertools.product(*per_node)))
     archs = []
     for combo in itertools.product(*per_kind_choices):
-        choices: dict[str, dict[int, tuple[tuple[int, int], ...]]] = {}
+        choices: dict[str, dict[int, tuple[tuple[int, str], ...]]] = {}
         for kind, node_picks in zip(kind_names, combo):
             tpl = templates[kind]
             choices[kind] = {j: picks for j, picks in zip(tpl.intermediates, node_picks)}
@@ -152,45 +146,3 @@ def enumerate_vertex_costs(table: CostTable, ceiling: int = 200_000) -> np.ndarr
         # every vertex so far, extended by each op of this key (key-major order)
         out = (out[:, None, :] + u[:, :size].T[None, :, :]).reshape(-1, out.shape[1])
     return out
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count for scoring: RCNAS_THREADS caps whatever was asked for."""
-    cap_str = os.environ.get("RCNAS_THREADS", "").strip()
-    if cap_str and not (cap_str.isdecimal() and int(cap_str) >= 1):
-        raise ValueError(f"RCNAS_THREADS must be a positive integer, got {cap_str!r}")
-    cap = int(cap_str) if cap_str else (os.cpu_count() or 1)
-    want = requested if requested is not None else cap
-    return max(1, min(want, cap))
-
-
-_WORKER_SHARED: tuple = ()  # (plan, train, eval_ds, recipe) of every job in this worker
-
-
-def _init_worker(*shared) -> None:
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-
-
-def _score_one(arch: DiscreteArch) -> float:
-    plan, train, eval_ds, recipe = _WORKER_SHARED
-    return retrain_eval(arch, plan, train, eval_ds, **recipe).accuracy
-
-
-def score_archs(
-    archs: list[DiscreteArch],
-    plan: NetworkPlan,
-    train,
-    eval_ds,
-    workers: int | None = None,
-    **recipe,
-) -> np.ndarray:
-    """Retrain-and-evaluate accuracy for each architecture, in input order
-    regardless of worker scheduling.  ``recipe`` holds ``retrain_eval``'s
-    keywords, the same for every architecture.  Each worker receives the
-    rest once, through the pool's initializer; a job is one architecture."""
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(archs) <= 1:
-        return np.array([retrain_eval(arch, plan, train, eval_ds, **recipe).accuracy for arch in archs])
-    with ProcessPoolExecutor(max_workers=nworkers, initializer=_init_worker, initargs=(plan, train, eval_ds, recipe)) as pool:
-        return np.array(list(pool.map(_score_one, archs)))

@@ -110,33 +110,32 @@ def _derive_seeds(seed: int) -> tuple[int, int, int, int]:
     return tuple(int(v) for v in s)
 
 
-def _in_float32(params, *datasets: Dataset) -> tuple[Dataset, ...]:
-    """The training precision, the search's and retraining's: each
-    dataset's images and then each weight (a float64 draw, rounded once)
-    cast to float32. Returns the cast datasets; an optimizer built on
+def _float32_training(params, train: Dataset, held_out: Dataset) -> tuple[Dataset, Dataset]:
+    """The training data and precision, the search's and retraining's:
+    ``train`` and ``held_out`` normalized by ``train``'s statistics, their
+    images cast to float32, and then each weight (a float64 draw, rounded
+    once) cast to float32. Returns the two datasets; an optimizer built on
     ``params`` afterwards keeps its state in float32 too."""
-    cast = tuple(replace(ds, images=ds.images.astype(np.float32)) for ds in datasets)
+    mean, std = normalization_stats(train)
+    normed = [normalize(ds, mean, std) for ds in (train, held_out)]
+    cast = tuple(replace(ds, images=ds.images.astype(np.float32)) for ds in normed)
     for p in params:
         p.data = p.data.astype(np.float32)
     return cast
 
 
 def _setup(plan: NetworkPlan, ds: Dataset, cfg: SearchConfig):
-    """Shared preamble: split, normalize, model, streams, optimizers.
+    """Shared preamble: split, model, normalize, streams, optimizers.
 
     Both the projected search and the flat reference loop call this, so a
     degeneration comparison starts from bit-identical state. The supernet
-    trains in float32 (``_in_float32``); its logits and Adam on them stay
-    float64.
+    trains in float32 (``_float32_training``); its logits and Adam on them
+    stay float64.
     """
     model_seed, split_seed, train_seed, val_seed = _derive_seeds(cfg.seed)
     val, train = split_dataset(ds, fraction=0.5, seed=split_seed)
-    mean, std = normalization_stats(train)
-    train = normalize(train, mean, std)
-    val = normalize(val, mean, std)
-
     net = Supernet(plan, model_seed)
-    train, val = _in_float32(net.weight_params(), train, val)
+    train, val = _float32_training(net.weight_params(), train, val)
     train_stream = BatchStream(train, cfg.batch_size, train_seed)
     if train_stream.batches_per_epoch == 0:
         raise ValueError("no training steps: dataset too small for the batch size")
@@ -299,17 +298,13 @@ def retrain_eval(
     One fixed recipe, as in DARTS: SGD with momentum 0.9 and weight decay
     3e-4, the learning rate annealed from ``lr`` on a cosine schedule,
     optional cutout, and evaluation in batches of 256. Retraining runs in
-    float32, as the search's training does (``_in_float32``): the
+    float32, as the search's training does (``_float32_training``): the
     normalized images and the network's weights are cast, and the SGD
     state follows the weights. The cost model stays float64."""
     check_ranges(retrain_eval, locals())
     model_seed, _, stream_seed, aug_seed = _derive_seeds(seed)
-    mean, std = normalization_stats(train)
-    train_n = normalize(train, mean, std)
-    eval_n = normalize(eval_ds, mean, std)
-
     net = DiscreteNetwork(plan, arch, model_seed)
-    train_n, eval_n = _in_float32(net.weight_params(), train_n, eval_n)
+    train_n, eval_n = _float32_training(net.weight_params(), train, eval_ds)
     sgd = SGD(net.weight_params(), lr=lr, momentum=0.9, weight_decay=3e-4)
     stream = BatchStream(train_n, batch_size, stream_seed)
     aug_rng = np.random.default_rng(np.random.SeedSequence(aug_seed))

@@ -307,6 +307,21 @@ def test_scored_enumerate_without_eval_data_exits_2_before_making_out_dir(tmp_pa
     assert not out.parent.exists()
 
 
+def test_scored_enumerate_whose_retrain_diverges_exits_3(tmp_path, capsys):
+    # the CI scored config at a learning rate that aborts the first retrain
+    cfg = {
+        "data": {"name": "blobs", "n": 64, "n_eval": 32, "image_hw": [8, 8], "seed": 1},
+        "plan": {"n_cells": 1, "n_nodes": 4, "k_levels": 1, "use_connection": False},
+        "eval": {"epochs": 2, "batch_size": 16, "lr": 1e300, "seed": 0},
+        "enumerate": {"score": True},
+    }
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["enumerate", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
 def test_enumerate_respects_ceiling(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_tiny_config(enumerate={"ceiling": 10})))
@@ -401,11 +416,13 @@ def test_manifest_with_removed_settings_exits_2_naming_them(tmp_path, capsys):
     cfg = _tiny_config()
     cfg["search"]["val_fraction"] = 0.5
     cfg["plan"]["reduction_positions"] = None
+    cfg["enumerate"] = {"workers": 1}
     p = tmp_path / "manifest.json"
     p.write_text(json.dumps({"command": "search", "version": "0", "config": cfg}))
     assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "'val_fraction' was unexpected" in err and "'reduction_positions' was unexpected" in err
+    assert "'workers' was unexpected" in err
     assert not (tmp_path / "run").exists()
 
 

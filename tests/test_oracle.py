@@ -1,4 +1,4 @@
-"""Exhaustive enumeration oracle: counts, round-trips, scoring."""
+"""Exhaustive enumeration oracle: counts, round-trips."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,13 @@ import pytest
 from rcnas import ops
 from rcnas.cells import CellTemplate, DiscreteArch, derive_discrete
 from rcnas.cost import CostScope, build_cost_table, exact_cost, expected_cost
-from rcnas.data import make_blobs
 from rcnas.exhaustive import (
     MicroSpace,
     SpaceTooLarge,
     count_archs,
     enumerate_archs,
-    resolve_workers,
     saturate_theta,
-    score_archs,
 )
-from rcnas.network import NetworkPlan
 
 THREE_OPS = (ops.ZERO, ops.IDENTITY, ops.MAX_POOL_3)
 
@@ -94,43 +90,3 @@ def test_saturated_cost_matches_exact_everywhere(micro_plan):
         phi = expected_cost(theta, table, CostScope.TOP_K)
         exact = exact_cost(arch, micro_plan)
         np.testing.assert_allclose(phi, exact, rtol=1e-9)
-
-
-def test_resolve_workers_env_cap(monkeypatch):
-    monkeypatch.setenv("RCNAS_THREADS", "2")
-    assert resolve_workers(None) == 2
-    assert resolve_workers(8) == 2
-    assert resolve_workers(1) == 1
-    for bad in ("0", "-2", "abc", "1e3", "2.5"):
-        monkeypatch.setenv("RCNAS_THREADS", bad)
-        with pytest.raises(ValueError, match=f"RCNAS_THREADS must be a positive integer, got '{bad}'"):
-            resolve_workers(4)
-    monkeypatch.delenv("RCNAS_THREADS")
-    assert resolve_workers(1) == 1
-    assert resolve_workers(10**6) == (__import__("os").cpu_count() or 1)
-
-
-def test_score_archs_serial_cached_and_ordered(micro_plan):
-    plan = NetworkPlan(
-        n_cells=2, init_channels=4, n_classes=3, image_hw=(8, 8), n_nodes=4, k_levels=1
-    )
-    space = MicroSpace(plan)
-    archs = [space.archs[0], space.archs[1], space.archs[0]]  # duplicate on purpose
-    train = make_blobs(32, (8, 8), seed=1)
-    eval_ds = make_blobs(16, (8, 8), seed=2)
-    scores = score_archs(archs, plan, train, eval_ds, epochs=1, batch_size=16, workers=1)
-    assert scores.shape == (3,)
-    assert scores[0] == scores[2]  # a duplicate arch scores the same
-
-
-def test_score_archs_parallel_matches_serial(micro_plan):
-    plan = NetworkPlan(
-        n_cells=2, init_channels=4, n_classes=3, image_hw=(8, 8), n_nodes=4, k_levels=1
-    )
-    space = MicroSpace(plan)
-    archs = space.archs[:3]
-    train = make_blobs(32, (8, 8), seed=1)
-    eval_ds = make_blobs(16, (8, 8), seed=2)
-    serial = score_archs(archs, plan, train, eval_ds, epochs=1, batch_size=16, workers=1)
-    parallel = score_archs(archs, plan, train, eval_ds, epochs=1, batch_size=16, workers=2)
-    np.testing.assert_array_equal(serial, parallel)
