@@ -479,7 +479,9 @@ def main(argv: list[str] | None = None) -> int:
         # the subcommand's parser, so the usage shown lists its own flags
         commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        return args.func(args)
+        # SearchAbort and ProjectionError report a numeric failure; numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # before ValueError, which FormatError subclasses
     except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

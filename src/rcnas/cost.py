@@ -16,10 +16,10 @@ FullDag every edge counts.
 
 Because cells sharing a logits vector only ever add their rows, the model
 works on the per-vector sums, which the table holds from the moment it is
-built as a dense U[key, metric, op] (see ``CostTable``). The TopK scope is
-a boolean key mask (``scope_edges``), so Phi = fixed + sum_k mask_k *
-U_k . F_k and the gradient has the closed form
-dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)).
+built as a dense U[key, metric, op] (see ``CostTable``). Every scope is a
+boolean key mask (``CostTable.scope_mask``; FullDag's holds every key), and
+a key outside it prices as a zero row of U: Phi = fixed + sum_k U_k . F_k
+and dPhi/dtheta_o = F_o(theta) * (U_o - U.F(theta)), exactly zero there.
 """
 from __future__ import annotations
 
@@ -168,30 +168,14 @@ class CostTable:
     def theta_keys(self) -> list[ThetaKey]:
         return list(self.layout.keys)
 
-    def scope_mask(self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: np.ndarray | None = None) -> np.ndarray | None:
-        """Boolean key mask of the edges a scope counts; None under FullDag.
-        Under TopK it is ``frozen_scope``, or, without one, the mask
-        ``scope_edges`` makes of ``theta`` (a map or a flat vector), so a
-        caller holding the scope fixed freezes it once, as this mask."""
+    def scope_mask(self, theta: ThetaMap | np.ndarray, scope: CostScope, frozen_scope: np.ndarray | None = None) -> np.ndarray:
+        """Boolean key mask of the edges a scope counts: all keys under
+        FullDag, which ignores ``frozen_scope``; under TopK, ``frozen_scope``
+        or else the mask ``scope_edges`` makes of ``theta`` (a map or a flat
+        vector), so a caller holding the scope fixed freezes it once."""
         if scope is CostScope.FULL_DAG:
-            return None
+            return np.ones(len(self.layout.keys), dtype=bool)
         return frozen_scope if frozen_scope is not None else scope_edges(theta, self.templates)
-
-    def evaluate(self, F: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Phi of the mixture F on the grid, and the per-key costs U.F,
-        (K, N_METRICS), it sums: Phi = fixed + the U.F rows inside the mask."""
-        mean = np.einsum("kmo,ko->km", self.U, F)
-        counted = mean if mask is None else mean[mask]
-        return self.fixed + counted.sum(axis=0), mean
-
-    def gradient(self, F: np.ndarray, mean: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-        """dPhi/dtheta on the grid, (K, N_METRICS, O): F * (U - U.F), given
-        ``mean`` = U.F from ``evaluate``, with exact zeros for keys outside
-        the mask."""
-        g = F[:, None, :] * (self.U - mean[:, :, None])
-        if mask is not None:
-            g[~mask] = 0.0
-        return g
 
 
 def _stem_classifier_costs(layout: Layout) -> np.ndarray:
@@ -240,9 +224,11 @@ def expected_cost(
     """
     flat = theta if isinstance(theta, np.ndarray) else table.layout.flatten(theta)
     F = table.layout.softmax(flat)
-    mask = table.scope_mask(flat, scope, frozen_scope)
-    phi, mean = table.evaluate(F, mask)
-    return (phi, table.gradient(F, mean, mask)) if grad else phi
+    # a key outside the scope is a zero row: +0.0 in Phi, F * (0 - 0) = +0.0 in the gradient
+    U = table.U * table.scope_mask(flat, scope, frozen_scope)[:, None, None]
+    mean = np.einsum("kmo,ko->km", U, F)
+    phi = table.fixed + mean.sum(axis=0)
+    return (phi, F[:, None, :] * (U - mean[:, :, None])) if grad else phi
 
 
 def cost_gradient(

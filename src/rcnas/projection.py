@@ -18,10 +18,10 @@ cost table's key order. It freezes the TopK scope once per call, as the
 boolean key mask ``CostTable.scope_mask`` makes of the anchor, and
 hands that mask to every iteration. Each iteration evaluates the cost table
 once, with one ``expected_cost`` call on that flat vector at its new point:
-one softmax F over the table's grid, one contraction U.F per logits vector,
-Phi = fixed + the U.F rows inside the scope, and from the same F and U.F
-the gradient of Phi on the grid, F * (U - U.F) with the rows outside the
-scope zeroed. Phi gives h, the feasibility test and the next step's hinge
+one softmax F over the table's grid, one contraction U.F per logits vector
+with the rows outside the scope priced as zero rows, Phi = fixed + the sum
+of the U.F rows, and from the same F and U.F the gradient of Phi on the
+grid, F * (U - U.F). Phi gives h, the feasibility test and the next step's hinge
 coefficients, which weight that gradient into the gradient of h. The box
 arithmetic on the two metrics (``ConstraintBox.feasible``, ``violation``,
 the hinge sums and coefficients) runs on Python floats: the same IEEE-754

@@ -24,7 +24,7 @@ from typing import Annotated, NamedTuple
 import numpy as np
 
 from . import cells, data
-from .autodiff import Tape
+from .autodiff import Parameter, Tape
 from .cells import DiscreteArch
 from .cost import ConstraintBox, CostScope, CostTable, build_cost_table, exact_cost, expected_cost
 from .data import BatchStream, Dataset, normalization_stats, normalize, split_dataset
@@ -48,7 +48,8 @@ __all__ = [
 
 
 class SearchAbort(RuntimeError):
-    """Raised when a loss turns non-finite; carries the step diagnostics."""
+    """Raised when a loss or a trained tensor turns non-finite; carries the
+    step diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -150,7 +151,9 @@ def _descend(net, opt: SGD | Adam, batch: tuple[np.ndarray, np.ndarray], step: i
 
     The gradients of ``opt.params`` are cleared and those tensors made
     trainable; ``frozen`` is held fixed for the step and then restored. A
-    non-finite loss raises SearchAbort naming ``what`` and ``step``."""
+    non-finite loss raises SearchAbort naming ``what`` and ``step``; so does
+    a step that leaves a non-finite value in ``opt.params``, naming the
+    first such tensor (its ``Parameter.name``, or "architecture logits")."""
     for p in opt.params:
         p.grad = None
         p.requires_grad = True
@@ -168,6 +171,11 @@ def _descend(net, opt: SGD | Adam, batch: tuple[np.ndarray, np.ndarray], step: i
     if not np.isfinite(value):
         raise SearchAbort(f"{what} became non-finite at step {step}", {"step": step, "quantity": what, "value": value})
     opt.step()
+    for p in opt.params:
+        if not np.isfinite(p.data).all():
+            name = p.name if isinstance(p, Parameter) else "architecture logits"
+            first = float(p.data[~np.isfinite(p.data)][0])
+            raise SearchAbort(f"{name} became non-finite at step {step}", {"step": step, "quantity": name, "value": first})
     return value
 
 

@@ -5,6 +5,7 @@ single ``[criterion N] label: PASS/FAIL (...)`` line on the real stdout,
 bypassing pytest capture, so the gate summary is visible in any run.
 """
 
+import csv
 import functools
 import json
 import math
@@ -368,12 +369,6 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
         },
         "scope": "topk",
     }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config))
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
-    assert main(["search", "--config", str(cfg_path), "--out", str(out1)]) == 0
-    assert main(["search", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
-
     fixed_names = [
         "manifest.json",
         "arch.json",
@@ -382,8 +377,23 @@ def test_manifest_rerun_is_byte_identical(tmp_path):
         "cost_report.csv",
         "arch.dot",
     ]
-    for name in fixed_names:
-        b1 = (out1 / name).read_bytes()
-        b2 = (out2 / name).read_bytes()
-        assert b1 == b2, f"{name} differs between original run and manifest rerun"
-    return f"{len(fixed_names)} primary artifacts byte-identical after manifest rerun"
+    # the box above never binds; under the second its projection descends
+    iterations = []
+    for name, upper in (("loose", config["constraints"]["upper"]), ("binding", [600.0, 36000.0])):
+        config["constraints"]["upper"] = upper
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(config))
+        out1, out2 = tmp_path / f"{name}1", tmp_path / f"{name}2"
+        assert main(["search", "--config", str(cfg_path), "--out", str(out1)]) == 0
+        assert main(["search", "--config", str(out1 / "manifest.json"), "--out", str(out2)]) == 0
+        for fname in fixed_names:
+            b1 = (out1 / fname).read_bytes()
+            b2 = (out2 / fname).read_bytes()
+            assert b1 == b2, f"{fname} differs between the {name} run and its manifest rerun"
+        with open(out1 / "projection_trace.csv", newline="") as f:
+            iterations.append([int(row["iterations"]) for row in csv.DictReader(f)])
+    assert max(iterations[1]) > 0, f"the binding box never made the projection descend: {iterations[1]}"
+    return (
+        f"{len(fixed_names)} primary artifacts byte-identical after manifest rerun, "
+        f"for a loose box and a binding one (projection iterations {iterations[0]}, {iterations[1]})"
+    )

@@ -5,7 +5,11 @@ import csv
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,19 +311,36 @@ def test_scored_enumerate_without_eval_data_exits_2_before_making_out_dir(tmp_pa
     assert not out.parent.exists()
 
 
+# the CI scored config at a learning rate that aborts the first retrain
+DIVERGE_CONFIG = {
+    "data": {"name": "blobs", "n": 64, "n_eval": 32, "image_hw": [8, 8], "seed": 1},
+    "plan": {"n_cells": 1, "n_nodes": 4, "k_levels": 1, "use_connection": False},
+    "eval": {"epochs": 2, "batch_size": 16, "lr": 1e300, "seed": 0},
+    "enumerate": {"score": True},
+}
+
+
 def test_scored_enumerate_whose_retrain_diverges_exits_3(tmp_path, capsys):
-    # the CI scored config at a learning rate that aborts the first retrain
-    cfg = {
-        "data": {"name": "blobs", "n": 64, "n_eval": 32, "image_hw": [8, 8], "seed": 1},
-        "plan": {"n_cells": 1, "n_nodes": 4, "k_levels": 1, "use_connection": False},
-        "eval": {"epochs": 2, "batch_size": 16, "lr": 1e300, "seed": 0},
-        "enumerate": {"score": True},
-    }
     cfg_path = tmp_path / "diverge.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(DIVERGE_CONFIG))
     assert main(["enumerate", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
+def test_numeric_failure_writes_one_stderr_line(tmp_path):
+    # a fresh process, since pytest captures the warnings numpy would print
+    cfg_path = tmp_path / "diverge.json"
+    cfg_path.write_text(json.dumps(DIVERGE_CONFIG))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcnas.cli", "enumerate", "--config", str(cfg_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
 
 
 def test_enumerate_respects_ceiling(tmp_path):

@@ -418,18 +418,27 @@ def test_packed_cost_matches_per_entry_reference(plan, scope):
 @pytest.mark.parametrize("scope", ["topk", "fulldag", "frozen"])
 def test_flat_logits_and_grad_match_the_map_forms(scope):
     """expected_cost on the flat vector gives the map's bytes, and with
-    grad it also returns cost_gradient's bytes on the table's grid."""
+    grad it also returns cost_gradient's bytes on the table's grid, +0.0
+    on the rows outside the scope. FullDag prices as TopK under an
+    all-True frozen mask, byte for byte."""
     table = build_cost_table(SHAPES_4CELL)
     rng = np.random.default_rng(np.random.SeedSequence(43))
+    all_keys = np.ones(len(table.layout.keys), dtype=bool)
     for _ in range(4):
         theta = _draw_theta(table, rng, scale=2.0)
         frozen = scope_edges(_draw_theta(table, rng), table.templates) if scope == "frozen" else None
         sc = CostScope.FULL_DAG if scope == "fulldag" else CostScope.TOP_K
+        flat = table.layout.flatten(theta)
         phi = expected_cost(theta, table, sc, frozen)
-        flat_phi, grid = expected_cost(table.layout.flatten(theta), table, sc, frozen, grad=True)
+        flat_phi, grid = expected_cost(flat, table, sc, frozen, grad=True)
         assert flat_phi.tobytes() == phi.tobytes()
         assert grid.shape == table.U.shape
         assert not grid[~table.layout.valid[:, None, :].repeat(grid.shape[1], axis=1)].any()
+        outside = grid[~table.scope_mask(flat, sc, frozen)]
+        assert outside.tobytes() == np.zeros_like(outside).tobytes()
+        full_phi, full_grid = expected_cost(flat, table, CostScope.FULL_DAG, frozen, grad=True)
+        all_phi, all_grid = expected_cost(flat, table, CostScope.TOP_K, all_keys, grad=True)
+        assert (full_phi.tobytes(), full_grid.tobytes()) == (all_phi.tobytes(), all_grid.tobytes())
         for k, (key, g) in enumerate(cost_gradient(theta, table, sc, frozen).items()):
             assert grid[k, :, : g.shape[1]].tobytes() == g.tobytes()
 
@@ -445,7 +454,8 @@ def test_frozen_scope_as_key_mask_matches_its_edge_sets(plan):
         assert mask.dtype == bool and mask.shape == (len(table.layout.keys),)
         assert mask.tobytes() == table.scope_mask(anchor, CostScope.TOP_K, edges).tobytes()
         assert table.scope_mask(_draw_theta(table, rng), CostScope.TOP_K, mask) is mask
-        assert table.scope_mask(anchor, CostScope.FULL_DAG, mask) is None
+        full = table.scope_mask(anchor, CostScope.FULL_DAG, mask)
+        assert full.dtype == bool and full.shape == (len(table.layout.keys),) and full.all()
         theta = _draw_theta(table, rng, scale=2.0)
         for th in (theta, table.layout.flatten(theta)):
             phi_e, grid_e = expected_cost(th, table, CostScope.TOP_K, edges, grad=True)

@@ -218,6 +218,22 @@ def test_non_finite_cost_raises():
         project(theta, _box(25.0), table, CostScope.FULL_DAG, cfg=ProjectionConfig(lr=3e-3, max_iters=5))
 
 
+def test_nan_logit_outside_the_frozen_scope_raises():
+    """A key outside the scope prices as a zero row, and zero times a NaN
+    softmax row is NaN: a NaN logit there poisons Phi instead of dropping
+    out, so the projection stops at its first step."""
+    table = _shapes_4cell_table()
+    rng = np.random.default_rng(np.random.SeedSequence(31))
+    theta = {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()}
+    key = table.theta_keys()[int(np.flatnonzero(~scope_edges(theta, table.templates))[0])]
+    theta[key][0] = np.nan
+    frozen = scope_edges(theta, table.templates)
+    assert not frozen[table.theta_keys().index(key)]  # a NaN strength ranks last
+    assert not np.isfinite(expected_cost(theta, table, CostScope.TOP_K, frozen)).all()
+    with pytest.raises(ProjectionError, match="step 1:"):
+        project(theta, ConstraintBox.unbounded(), table, CostScope.TOP_K)
+
+
 # --- the fused loop against a step-by-step reference
 
 

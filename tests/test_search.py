@@ -8,7 +8,7 @@ from rcnas.autodiff import Tape
 from rcnas.cells import DiscreteArch
 from rcnas.cost import ConstraintBox, CostScope
 from rcnas.data import BatchStream, make_blobs, make_shapes, normalization_stats, normalize, split_dataset
-from rcnas.network import NetworkPlan
+from rcnas.network import DiscreteNetwork, NetworkPlan
 from rcnas.optim import SGD
 from rcnas.projection import ProjectionConfig
 from rcnas.search import (
@@ -140,6 +140,19 @@ def test_search_aborts_on_poisoned_inputs(run, quantities, steps):
     assert diag["quantity"] in quantities
     assert diag["step"] in steps
     assert str(exc.value) == f"{diag['quantity']} became non-finite at step {diag['step']}"
+
+
+def test_retrain_aborts_at_the_step_that_diverges():
+    """At lr 1e300 the first SGD step overflows the float32 weights: the
+    abort names the parameter at that step, before any loss turns."""
+    ds = make_blobs(64, (8, 8), seed=1)
+    net_names = {p.name for p in DiscreteNetwork(_plan(), IDENTITY_ARCH, 0).weight_params()}
+    with pytest.raises(SearchAbort) as exc:
+        retrain_eval(IDENTITY_ARCH, _plan(), ds, make_blobs(16, (8, 8), seed=9), epochs=1, batch_size=16, lr=1e300)
+    diag = exc.value.diagnostics
+    assert diag["step"] == 0 and diag["quantity"] in net_names
+    assert not np.isfinite(diag["value"])
+    assert str(exc.value) == f"{diag['quantity']} became non-finite at step 0"
 
 
 def test_search_config_validation():
