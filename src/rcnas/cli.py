@@ -167,6 +167,14 @@ def _numbers(val, path: str = ""):
         yield path, val
 
 
+# JSON Schema counts 64.0 as an integer, but every integer setting is a
+# count or a seed the program passes where Python wants an int
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine("integer", lambda _, v: type(v) is int),
+)(CONFIG_SCHEMA)
+
+
 def resolve_config(doc: dict) -> dict:
     """Validate a user config (or manifest) and fill in defaults.
 
@@ -177,7 +185,7 @@ def resolve_config(doc: dict) -> dict:
     """
     doc = _unwrap(doc)
     errors = [f"config invalid at {'/'.join(map(str, exc.absolute_path)) or '<root>'}: {exc.message}"
-              for exc in jsonschema.Draft202012Validator(CONFIG_SCHEMA).iter_errors(doc)]
+              for exc in _CONFIG_VALIDATOR.iter_errors(doc)]
     if errors:
         raise ConfigError("; ".join(errors))
     # JSON allows numbers no float64 holds (NaN, the infinities, integers
@@ -211,7 +219,7 @@ def _read_json(path: str, what: str, error: type[ValueError]):
         raise OSError(f"cannot read {what} {path}: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=unique_keys)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested past the interpreter's limit
         raise error(f"{what} {path} is not valid JSON: {exc}") from None
 
 

@@ -6,8 +6,8 @@ The expected cost of the relaxed network is
 
 where u is a theta-free table holding every candidate op's cost at its
 placement. The table, the fixed term and the exact cost of a discrete
-architecture all read ``Layout.slots()``, the walk both networks build
-from, so they price the ops the networks hold, in the same order; with
+architecture all read ``Layout.slots``, built in the plan's one walk,
+so they price the ops both networks hold, in the same order; with
 connection cells off, each link's fixed op is part of ``fixed``. Cells
 sharing logits each contribute their own shape-dependent u row. Under the
 TopK scope only the top-2 strongest incoming edges per
@@ -194,7 +194,7 @@ def build_cost_table(plan: NetworkPlan) -> CostTable:
     templates = layout.templates
     fixed = _stem_classifier_costs(layout)
     entries: list[EdgeCost] = []
-    for slot in layout.slots():
+    for slot in layout.slots:
         if slot.kind is None:
             fixed += ops.counts(FIXED_LINK_OP, slot.context)
             continue
@@ -256,7 +256,7 @@ def exact_cost(arch: cells.DiscreteArch, plan: NetworkPlan) -> np.ndarray:
     layout = plan.layout()
     arch.validate(layout.templates)
     total = _stem_classifier_costs(layout)
-    for slot in layout.slots():
+    for slot in layout.slots:
         op_name = FIXED_LINK_OP if slot.kind is None else arch.op_on(slot.kind, slot.edge)
         if op_name is not None:
             params, flops = ops.counts(op_name, slot.context)

@@ -1,23 +1,23 @@
 """Whole-network assembly: stem, stacked cells, inter-cell links, classifier.
 
 A NetworkPlan fixes the macro structure (cell count, channel schedule,
-reduction placement, depth levels). Its Layout yields every op placement
-once, as a Slot: per cell its two links, then its template edges. Both
-networks build from that one walk and run one forward; they differ only in
-what a slot holds. Supernet holds the softmax mixture of every candidate
-op; DiscreteNetwork holds the op a DiscreteArch chose, or nothing on an
-edge it did not keep. The cost model prices the same slots, so costs,
-counts, and shapes agree by construction. With connection cells off, each
-link holds the fixed FIXED_LINK_OP (ReLU, 1x1 conv at the link's stride,
-BN) and its cost is part of the fixed term. The stem is the op ops.STEM
-(3x3 conv and BN) at ``Layout.stem_context``, built and priced from its
-plan like every other op; only the classifier (global pooling and a
-linear layer) is written here.
+reduction placement, depth levels). Its Layout holds every op placement
+once, as a Slot built in the plan's one walk: per cell its two links, then
+its template edges. Both networks build from those slots and run one
+forward; they differ only in what a slot holds. Supernet holds the softmax
+mixture of every candidate op; DiscreteNetwork holds the op a DiscreteArch
+chose, or nothing on an edge it did not keep. The cost model prices the
+same slots, so costs, counts, and shapes agree by construction. With
+connection cells off, each link holds the fixed FIXED_LINK_OP (ReLU, 1x1
+conv at the link's stride, BN) and its cost is part of the fixed term.
+The stem is the op ops.STEM (3x3 conv and BN) at ``Layout.stem_context``,
+built and priced from its plan like every other op; only the classifier
+(global pooling and a linear layer) is written here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Annotated, Callable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Annotated, Callable, NamedTuple
 
 import numpy as np
 
@@ -119,42 +119,47 @@ class NetworkPlan:
         return self.__dict__["_layout"]
 
     def _build_layout(self) -> "Layout":
+        """Size each cell, then place its two links and its template edges.
+        An edge from a cell input runs at the cell's input size and the
+        reduction's stride; every other edge at its output size, stride 1."""
         reds = set(self.reductions)
         kinds = self.cell_kind_list()
+        templates = self.templates()
+        link_kind = cells.CONNECT_KIND if self.use_connection else None
         infos: list[CellInfo] = []
-        links: list[list[tuple[int, ops.OpContext]]] = []
+        slots: list[Slot] = []
         ch = self.init_channels
-        out_hw: list[tuple[int, int]] = []
-        out_ch: list[int] = []
         for i in range(self.n_cells):
             reduction = i in reds
             if reduction:
                 ch *= 2
-            in_hw = self.image_hw if not out_hw else out_hw[-1]
-            cell_out_hw = (in_hw[0] // 2, in_hw[1] // 2) if reduction else in_hw
+            in_hw = infos[-1].out_hw if infos else self.image_hw
             info = CellInfo(
                 index=i,
                 kind=kinds[i],
                 reduction=reduction,
                 channels=ch,
-                in_hw=in_hw,
-                out_hw=cell_out_hw,
+                out_hw=(in_hw[0] // 2, in_hw[1] // 2) if reduction else in_hw,
                 out_channels=self.n_intermediate * ch,
             )
-            cell_links = []
             for k, src in enumerate((i - 2, i - 1)):
                 src = src if src >= 0 else STEM
-                sh = self.image_hw if src == STEM else out_hw[src]
+                sh = self.image_hw if src == STEM else infos[src].out_hw
                 stride = sh[0] // in_hw[0]
                 if stride not in (1, 2) or sh[1] // in_hw[1] != stride:
                     raise ValueError(f"cell {i} slot {k}: cannot bridge {sh} -> {in_hw}")
-                c_src = self.init_channels if src == STEM else out_ch[src]
-                cell_links.append((src, ops.OpContext(c_src, ch, sh[0], sh[1], stride)))
+                c_src = self.init_channels if src == STEM else infos[src].out_channels
+                ctx = ops.OpContext(c_src, ch, sh[0], sh[1], stride)
+                slots.append(Slot(i, f"cell{i}.in{k}", link_kind, (0, 1), ctx, src))
+            tpl = templates[info.kind]
+            for edge in tpl.edges():
+                from_input = edge[0] < tpl.n_inputs
+                hw = in_hw if from_input else info.out_hw
+                ctx = ops.OpContext(ch, ch, hw[0], hw[1], 2 if reduction and from_input else 1)
+                slots.append(Slot(i, f"cell{i}.edge{edge[0]}_{edge[1]}", info.kind, edge, ctx))
             infos.append(info)
-            links.append(cell_links)
-            out_hw.append(cell_out_hw)
-            out_ch.append(info.out_channels)
-        return Layout(plan=self, cells=infos, links=links, templates=self.templates())
+        stem_context = ops.OpContext(self.in_channels, self.init_channels, *self.image_hw)
+        return Layout(self, tuple(infos), tuple(slots), templates, stem_context)
 
 
 @dataclass(frozen=True)
@@ -163,16 +168,8 @@ class CellInfo:
     kind: str
     reduction: bool
     channels: int
-    in_hw: tuple[int, int]
     out_hw: tuple[int, int]
     out_channels: int
-
-    def edge_context(self, template: cells.CellTemplate, edge: tuple[int, int]) -> ops.OpContext:
-        i, _j = edge
-        from_input = i < template.n_inputs
-        stride = 2 if (self.reduction and from_input) else 1
-        hw = self.in_hw if from_input else self.out_hw
-        return ops.OpContext(self.channels, self.channels, hw[0], hw[1], stride)
 
 
 class Slot(NamedTuple):
@@ -186,34 +183,21 @@ class Slot(NamedTuple):
     src: int | None = None  # links only: the source cell, or STEM
 
 
-@dataclass
+@dataclass(frozen=True)
 class Layout:
-    plan: NetworkPlan
-    cells: list[CellInfo]
-    links: list[list[tuple[int, ops.OpContext]]] = field(default_factory=list)  # (source cell or STEM, context)
-    templates: dict[str, cells.CellTemplate] = field(default_factory=dict)
+    """The plan's one walk: its cells, and every op placement once, in the
+    order networks draw weights: per cell its two links, then its template
+    edges."""
 
-    @property
-    def stem_context(self) -> ops.OpContext:
-        """Placement of the stem op: the input image to init_channels."""
-        plan = self.plan
-        return ops.OpContext(plan.in_channels, plan.init_channels, *plan.image_hw)
+    plan: NetworkPlan
+    cells: tuple[CellInfo, ...]
+    slots: tuple[Slot, ...]
+    templates: dict[str, cells.CellTemplate]
+    stem_context: ops.OpContext  # the stem op: the input image to init_channels
 
     @property
     def final_channels(self) -> int:
         return self.cells[-1].out_channels
-
-    def slots(self) -> Iterator[Slot]:
-        """Every op placement once, in the order networks draw weights:
-        per cell its two links, then its template edges."""
-        link_kind = cells.CONNECT_KIND if self.plan.use_connection else None
-        for info, cell_links in zip(self.cells, self.links):
-            for k, (src, ctx) in enumerate(cell_links):
-                yield Slot(info.index, f"cell{info.index}.in{k}", link_kind, (0, 1), ctx, src)
-            tpl = self.templates[info.kind]
-            for edge in tpl.edges():
-                prefix = f"cell{info.index}.edge{edge[0]}_{edge[1]}"
-                yield Slot(info.index, prefix, info.kind, edge, info.edge_context(tpl, edge))
 
 
 EdgeFn = Callable[..., Tensor]  # an OpInstance or a cells.MixedEdge
@@ -248,7 +232,7 @@ class _NetworkBase:
         """Build every slot in walk order, then the classifier."""
         self._links: list[list[tuple[int, EdgeFn]]] = [[] for _ in self.layout.cells]
         self._nodes: list[dict[int, list[tuple[int, EdgeFn]]]] = [{} for _ in self.layout.cells]
-        for slot in self.layout.slots():
+        for slot in self.layout.slots:
             fn = self._build_op(FIXED_LINK_OP, slot) if slot.kind is None else self._slot_op(slot)
             if slot.src is not None:
                 self._links[slot.cell].append((slot.src, fn))

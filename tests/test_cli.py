@@ -368,6 +368,27 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+# nested past the interpreter's recursion limit, so json.loads raises RecursionError
+NESTED_JSON = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["search", "cost"])
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, capsys, command):
+    nested = tmp_path / "nested.json"
+    nested.write_text(NESTED_JSON)
+    if command == "search":
+        argv = ["search", "--config", str(nested), "--out", str(tmp_path / "run")]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_tiny_config()))
+        argv = ["cost", "--config", str(cfg_path), "--arch", str(nested)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_key_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"plant": {"n_cells": 2}}))
@@ -384,8 +405,18 @@ def test_unknown_key_exits_2(tmp_path, capsys):
         # JSON integers that no float64 holds pass the schema's bounds
         (_tiny_config(constraints={"upper": [10**400, None]}), "config invalid at constraints/upper/0: integer too large"),
         (_tiny_config(projection={"lambda1": 10**400}), "config invalid at projection/lambda1: integer too large"),
+        # JSON Schema counts 64.0 as an integer; the program needs an int
+        (_tiny_config(data={"n": 64.0}), "config invalid at data/n: 64.0 is not of type 'integer'"),
+        (_tiny_config(plan={"n_cells": 1.0}), "config invalid at plan/n_cells: 1.0 is not of type 'integer'"),
     ],
-    ids=["manifest-of-a-manifest", "section-not-an-object", "bound-beyond-float64", "weight-beyond-float64"],
+    ids=[
+        "manifest-of-a-manifest",
+        "section-not-an-object",
+        "bound-beyond-float64",
+        "weight-beyond-float64",
+        "count-as-float",
+        "n-cells-as-float",
+    ],
 )
 def test_flags_leave_an_invalid_config_invalid(tmp_path, capsys, doc, error):
     p = tmp_path / "bad.json"

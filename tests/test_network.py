@@ -293,8 +293,9 @@ def test_relu_runs_once_per_relud_cell_state(monkeypatch):
     # cell ReLUs each distinct link source and each state that feeds an edge
     layout = SHAPES_4CELL.layout()
     expect = sum(
-        len({src for src, _ in links}) + len({i for i, _ in layout.templates[info.kind].edges()})
-        for info, links in zip(layout.cells, layout.links)
+        len({s.src for s in layout.slots if s.cell == info.index and s.src is not None})
+        + len({i for i, _ in layout.templates[info.kind].edges()})
+        for info in layout.cells
     )
     relus = [t for t in shared if t is not None]
     assert len(relus) == expect == 19

@@ -155,6 +155,30 @@ def test_retrain_aborts_at_the_step_that_diverges():
     assert str(exc.value) == f"{diag['quantity']} became non-finite at step 0"
 
 
+@pytest.mark.parametrize("poison, target", [(np.inf, "weight"), (np.nan, "logits")])
+def test_a_non_finite_gradient_aborts_naming_its_tensor(monkeypatch, poison, target):
+    """No gradient check is needed: SGD (p - lr*v) and Adam (m/sqrt(v) is
+    NaN) carry a non-finite gradient into its tensor in the same step, so
+    the parameter check names that tensor, at that step."""
+    ds = make_blobs(64, (8, 8), seed=4)
+    net, train_stream, val_stream, sgd, adam = search_mod._setup(_plan(), ds, _cfg())
+    tensor = net.weight_params()[0] if target == "weight" else net.theta_tensors()[0]
+
+    class PoisoningTape(Tape):
+        def backward(self, loss):
+            super().backward(loss)
+            assert np.isfinite(loss.data).all()
+            if tensor.grad is not None:  # only the descent that trains ``tensor`` gives it a gradient
+                tensor.grad.flat[0] = poison
+
+    monkeypatch.setattr(search_mod, "Tape", PoisoningTape)
+    with pytest.raises(SearchAbort) as exc:
+        phase1_step(net, sgd, adam, train_stream, val_stream, step=5)
+    name = tensor.name if target == "weight" else "architecture logits"
+    assert str(exc.value) == f"{name} became non-finite at step 5"
+    assert exc.value.diagnostics["quantity"] == name
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(epochs=0)
