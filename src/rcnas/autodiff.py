@@ -707,15 +707,20 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return _record(out, (x, weight, bias), bwd)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor, part: slice = slice(None)) -> Tensor:
+    """Softmax over the last axis of ``x.data[part]``; x's gradient is zero
+    outside ``part``, so each row of one logits vector can feed its own."""
+    xp = x.data[part]
+    z = xp - xp.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, requires_grad=x.requires_grad)
 
     def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        gx = np.zeros_like(x.data)
+        gx[part] = y * (g - dot)
+        return (gx,)
 
     return _record(out, (x,), bwd)
 

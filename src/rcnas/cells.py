@@ -134,40 +134,39 @@ def theta_keys(templates: dict[str, CellTemplate]) -> list[ThetaKey]:
 
 
 class ArchParams:
-    """One logits vector per (cell kind, edge); cells of equal kind share it."""
+    """The logits as one flat float64 ``Tensor``, ``theta``, in
+    ``LogitsLayout`` key order: one row per (cell kind, edge), which every
+    cell of that kind reads."""
 
     def __init__(self, templates: dict[str, CellTemplate], rng: np.random.Generator, init_scale: float = 1e-3):
-        self.templates = dict(templates)
-        self._vectors: dict[ThetaKey, Tensor] = {
-            (kind, edge): Tensor(init_scale * rng.standard_normal(self.templates[kind].n_ops), requires_grad=True)
-            for kind, edge in theta_keys(self.templates)
-        }
+        self.layout = logits_layout(templates)
+        draws = [init_scale * rng.standard_normal(n) for n in self.layout.sizes]
+        self.theta = Tensor(np.concatenate(draws), requires_grad=True)
 
     def vector(self, kind: str, edge: tuple[int, int]) -> Tensor:
-        return self._vectors[(kind, edge)]
+        """A Tensor viewing the row of (kind, edge) in ``theta.data``, and in
+        ``theta.grad`` if that is set (else its grad is None). Writing
+        through its ``.data`` changes the logits; rebinding ``.data`` does not."""
+        part = self.layout.rows[(kind, edge)]
+        t = Tensor(self.theta.data[part])
+        t.grad = None if self.theta.grad is None else self.theta.grad[part]
+        return t
 
     def items(self):
-        for (kind, edge), t in self._vectors.items():
-            yield kind, edge, t
+        for kind, edge in self.layout.keys:
+            yield kind, edge, self.vector(kind, edge)
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._vectors.values())
+    def numpy(self) -> ThetaMap:
+        return self.layout.unflatten(self.theta.data.copy())
 
-    def numpy(self) -> dict[ThetaKey, np.ndarray]:
-        return {key: t.data.copy() for key, t in self._vectors.items()}
-
-    def load(self, values: dict[ThetaKey, np.ndarray]) -> None:
-        for key, arr in values.items():
-            t = self._vectors[key]
-            if t.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {key}: {t.data.shape} vs {arr.shape}")
-            t.data = np.asarray(arr, dtype=np.float64).copy()
+    def load(self, values: ThetaMap) -> None:
+        self.theta.data = self.layout.flatten(values)
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        for (kind, edge), t in self._vectors.items():
+        for (kind, edge), v in self.layout.unflatten(self.theta.data).items():
             h.update(f"{kind}:{edge}".encode())
-            h.update(t.data.tobytes())
+            h.update(v.tobytes())
         return h.hexdigest()
 
 
@@ -188,7 +187,7 @@ class LogitsLayout:
         self.valid = np.arange(sizes.max(initial=0))[None, :] < sizes[:, None]
         self.valid.flags.writeable = False  # one layout serves every caller
         starts = np.cumsum(sizes) - sizes
-        self._starts = tuple(starts.tolist())
+        self.rows = {key: slice(a, a + n) for key, a, n in zip(self.keys, starts.tolist(), self.sizes)}
         # per op count and zero op, the keys' flat positions and non-zero ops:
         # a padded row would sum its softmax denominator in another order,
         # and so change the last bit that breaks exact ties
@@ -225,7 +224,7 @@ class LogitsLayout:
 
     def unflatten(self, flat: np.ndarray) -> ThetaMap:
         """Views of a flat vector, keyed in key order."""
-        return {key: flat[a : a + n] for key, a, n in zip(self.keys, self._starts, self.sizes)}
+        return {key: flat[part] for key, part in self.rows.items()}
 
     def softmax(self, flat: np.ndarray) -> np.ndarray:
         """Per-key softmax on the (K, O) grid; padding gets weight zero."""
@@ -275,27 +274,32 @@ def scope_edges(theta: ThetaMap | np.ndarray, templates: dict[str, CellTemplate]
 
 
 class MixedEdge:
-    """One searched edge: the softmax mixture, under logits ``theta``, of
-    its candidate ops. It reads a shared ReLU if any of its ops does."""
+    """One searched edge: the softmax mixture, under the row ``part`` of
+    the logits ``theta``, of its candidate ops. It reads a shared ReLU if
+    any of its ops does."""
 
-    __slots__ = ("theta", "ops", "reads_relu")
+    __slots__ = ("theta", "part", "ops", "reads_relu")
 
-    def __init__(self, theta: Tensor, edge_ops: list[ops.OpInstance]):
+    def __init__(self, theta: Tensor, part: slice, edge_ops: list[ops.OpInstance]):
         self.theta = theta
+        self.part = part
         self.ops = edge_ops
         self.reads_relu = any(op.reads_relu for op in edge_ops)
 
     def __call__(self, x: Tensor, relu_x: Tensor | None = None) -> Tensor:
         # looked up at call time, so a wrapper installed on the module sees every call
-        return mixed_edge_forward(self.theta, x, self.ops, relu_x)
+        return mixed_edge_forward(self.theta, x, self.ops, relu_x, self.part)
 
 
-def mixed_edge_forward(theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance], relu_x: Tensor | None = None) -> Tensor:
-    """Softmax-weighted sum of every candidate op applied to x; ops that
-    start with a ReLU read ``relu_x`` (= relu(x)) instead when it is given."""
-    if theta.shape != (len(edge_ops),):
-        raise ValueError(f"theta shape {theta.shape} does not match {len(edge_ops)} ops")
-    weights = softmax(theta)
+def mixed_edge_forward(
+    theta: Tensor, x: Tensor, edge_ops: list[ops.OpInstance], relu_x: Tensor | None = None, part: slice = slice(None)
+) -> Tensor:
+    """Softmax-weighted sum of every candidate op applied to x, weighted by
+    the softmax of ``theta.data[part]``; ops that start with a ReLU read
+    ``relu_x`` (= relu(x)) instead when it is given."""
+    if theta.data[part].shape != (len(edge_ops),):
+        raise ValueError(f"theta shape {theta.data[part].shape} does not match {len(edge_ops)} ops")
+    weights = softmax(theta, part)
     return weighted_sum(weights, [op(x, relu_x) for op in edge_ops])
 
 

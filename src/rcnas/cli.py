@@ -89,7 +89,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "name": {"enum": ["shapes", "stripes", "blobs", "cifar10"], "default": "shapes"},
+                "name": {"enum": ["shapes", "blobs", "cifar10"], "default": "shapes"},
                 "n": {"type": "integer", "minimum": 4, "default": 256},
                 "n_eval": {"type": "integer", "minimum": 0, "default": 0},
                 "image_hw": _HW,
@@ -175,6 +175,14 @@ _CONFIG_VALIDATOR = jsonschema.validators.extend(
 )(CONFIG_SCHEMA)
 
 
+_ERRORS_SHOWN = 10
+_MESSAGE_CHARS = 200
+
+
+def _clip(message: str) -> str:
+    return message if len(message) <= _MESSAGE_CHARS else message[:_MESSAGE_CHARS] + "..."
+
+
 def resolve_config(doc: dict) -> dict:
     """Validate a user config (or manifest) and fill in defaults.
 
@@ -184,10 +192,14 @@ def resolve_config(doc: dict) -> dict:
     DEFAULT_CONFIG.
     """
     doc = _unwrap(doc)
-    errors = [f"config invalid at {'/'.join(map(str, exc.absolute_path)) or '<root>'}: {exc.message}"
-              for exc in _CONFIG_VALIDATOR.iter_errors(doc)]
-    if errors:
-        raise ConfigError("; ".join(errors))
+    found = list(_CONFIG_VALIDATOR.iter_errors(doc))
+    if found:
+        # one bounded stderr line: a message quotes the offending value whole,
+        # so it is cut, and only the first errors are spelled out
+        errors = [f"config invalid at {'/'.join(map(str, exc.absolute_path)) or '<root>'}: {_clip(exc.message)}"
+                  for exc in found[:_ERRORS_SHOWN]]
+        more = len(found) - _ERRORS_SHOWN
+        raise ConfigError("; ".join(errors) + (f"; and {more} more" if more > 0 else ""))
     # JSON allows numbers no float64 holds (NaN, the infinities, integers
     # past its range), and the schema's bounds pass them, but the program
     # reads every number as a finite float or a count

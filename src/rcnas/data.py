@@ -16,7 +16,6 @@ __all__ = [
     "Dataset",
     "FormatError",
     "make_shapes",
-    "make_stripes",
     "make_blobs",
     "split_dataset",
     "normalization_stats",
@@ -110,25 +109,6 @@ def make_shapes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Datase
     return Dataset("shapes", images, labels, n_classes=4, seed=seed)
 
 
-def make_stripes(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:
-    """Two classes: horizontal vs vertical sinusoidal gratings at random phase."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    h, w = hw
-    images = np.zeros((n, 3, h, w), dtype=np.float64)
-    labels = rng.integers(0, 2, size=n).astype(np.int64)
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-    for i in range(n):
-        freq = 2.0 * np.pi * float(rng.uniform(0.2, 0.5))
-        phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        axis = ys if labels[i] == 0 else xs
-        pattern = 0.5 + 0.5 * np.sin(freq * axis + phase)
-        for c in range(3):
-            images[i, c] = pattern
-    images += 0.05 * rng.standard_normal(images.shape)
-    np.clip(images, 0.0, 1.0, out=images)
-    return Dataset("stripes", images, labels, n_classes=2, seed=seed)
-
-
 def make_blobs(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:
     """Three classes: Gaussian blobs whose count (1..3) is one more than the label."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -149,7 +129,7 @@ def make_blobs(n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset
     return Dataset("blobs", images, labels, n_classes=3, seed=seed)
 
 
-_GENERATORS = {"shapes": make_shapes, "stripes": make_stripes, "blobs": make_blobs}
+_GENERATORS = {"shapes": make_shapes, "blobs": make_blobs}
 
 
 def make_dataset(name: str, n: int, hw: tuple[int, int] = (16, 16), seed: int = 0) -> Dataset:

@@ -290,8 +290,9 @@ class Supernet(_NetworkBase):
         self._build()
 
     def _slot_op(self, slot: Slot) -> EdgeFn:
-        theta = self.arch.vector(slot.kind, slot.edge)
-        return cells.MixedEdge(theta, [self._build_op(op_name, slot) for op_name in self.templates[slot.kind].op_names])
+        part = self.arch.layout.rows[(slot.kind, slot.edge)]
+        edge_ops = [self._build_op(op_name, slot) for op_name in self.templates[slot.kind].op_names]
+        return cells.MixedEdge(self.arch.theta, part, edge_ops)
 
     # Each class defines its own forward (and __init__) so that a tracer
     # wrapping a class's own methods can tell the two networks apart.
@@ -299,7 +300,8 @@ class Supernet(_NetworkBase):
         return self._forward(x, tap)
 
     def theta_tensors(self) -> list[Tensor]:
-        return self.arch.tensors()
+        """The logits, ``arch.theta``, as the one tensor of a list."""
+        return [self.arch.theta]
 
 
 class DiscreteNetwork(_NetworkBase):

@@ -30,7 +30,7 @@ operations in the same order as on two-element arrays, so the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -126,7 +126,6 @@ class ProjectionResult:
     feasible: bool
     phi: np.ndarray
     objective: float
-    trajectory: list[dict] = field(default_factory=list)
 
 
 def project(
@@ -135,7 +134,6 @@ def project(
     table: CostTable,
     scope: CostScope = CostScope.TOP_K,
     cfg: ProjectionConfig = ProjectionConfig(),
-    record_trajectory: bool = False,
 ) -> ProjectionResult:
     """Project logits into the cost box.
 
@@ -147,35 +145,24 @@ def project(
     lam1, lam2 = cfg.lambda1, cfg.lambda2
     anchor = table.layout.flatten(theta)
     frozen = table.scope_mask(anchor, scope)
-    trajectory: list[dict] = []
 
-    def evaluate(it: int, flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+    def evaluate(flat: np.ndarray) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
         """The one cost evaluation of an iteration: Phi and h at ``flat``,
-        recorded in the trajectory, the hinge coefficients of the next step,
-        and dPhi on the table's grid from the same softmax."""
+        the hinge coefficients of the next step, and dPhi on the table's
+        grid from the same softmax."""
         phi, dphi = expected_cost(flat, table, scope, frozen, grad=True)
         lower_v, upper_v = violation(phi, box)
         low, up = _hinge_sums(lower_v, upper_v)
         d = flat - anchor
         h = 0.5 * float(d @ d) + lam1 * low + lam2 * up
-        if record_trajectory:
-            trajectory.append(
-                {
-                    "iteration": it,
-                    "objective": h,
-                    "phi_params": float(phi[0]),
-                    "phi_flops": float(phi[1]),
-                    "violation": low + up,
-                }
-            )
         return phi, h, _hinge_coefficients(lower_v, upper_v, lam1, lam2), dphi
 
-    phi, h, coeff, dphi = evaluate(0, anchor)
+    phi, h, coeff, dphi = evaluate(anchor)
     if box.feasible(phi, cfg.feas_tol):
-        return ProjectionResult(table.layout.unflatten(anchor), 0, True, phi, h, trajectory)
+        return ProjectionResult(table.layout.unflatten(anchor), 0, True, phi, h)
     if lam1 == 0.0 and lam2 == 0.0:
         # no penalty: h is minimized exactly at the anchor
-        return ProjectionResult(table.layout.unflatten(anchor), 0, False, phi, h, trajectory)
+        return ProjectionResult(table.layout.unflatten(anchor), 0, False, phi, h)
 
     # Adam is elementwise, so one flat holder steps exactly as one per logits vector
     holder = Tensor(anchor.copy(), requires_grad=True)
@@ -186,9 +173,9 @@ def project(
             grad = grad + np.einsum("m,kmo->ko", coeff, dphi)[table.layout.valid]
         holder.grad = grad
         opt.step()
-        phi, h, coeff, dphi = evaluate(it, holder.data)
+        phi, h, coeff, dphi = evaluate(holder.data)
         if not math.isfinite(h) or not np.isfinite(phi).all():
             raise ProjectionError(f"non-finite objective at projection step {it}: h={h}, phi={phi}")
         if box.feasible(phi, cfg.feas_tol):
-            return ProjectionResult(table.layout.unflatten(holder.data), it, True, phi, h, trajectory)
-    return ProjectionResult(table.layout.unflatten(holder.data), cfg.max_iters, False, phi, h, trajectory)
+            return ProjectionResult(table.layout.unflatten(holder.data), it, True, phi, h)
+    return ProjectionResult(table.layout.unflatten(holder.data), cfg.max_iters, False, phi, h)

@@ -97,7 +97,6 @@ LOG_COLUMNS = list(LogRow._fields)
 @dataclass
 class SearchResult:
     arch: DiscreteArch
-    theta: dict
     digests: list[str]
     log_rows: list[LogRow]
     phi: np.ndarray
@@ -192,10 +191,9 @@ def _result(net: Supernet, plan: NetworkPlan, table: CostTable, box: ConstraintB
     """A search's result from its final logits: their cost, whether it
     lies in ``box``, the derived architecture and the report. ``digests``
     holds one entry per step."""
-    theta = net.arch.numpy()
-    phi = expected_cost(theta, table, scope)
+    phi = expected_cost(net.arch.theta.data, table, scope)
     feasible = box.feasible(phi, feas_tol)
-    arch = cells.derive_discrete(theta, plan.templates())
+    arch = cells.derive_discrete(net.arch.numpy(), plan.templates())
     report = {
         "steps": len(digests),
         "rounds": rounds,
@@ -204,7 +202,7 @@ def _result(net: Supernet, plan: NetworkPlan, table: CostTable, box: ConstraintB
         "exact_cost": [float(v) for v in exact_cost(arch, plan)],
         "wall_seconds": time.monotonic() - t0,
     }
-    return SearchResult(arch, theta, digests, rows, phi, feasible, report)
+    return SearchResult(arch, digests, rows, phi, feasible, report)
 
 
 def run_search(
@@ -233,7 +231,7 @@ def run_search(
             train_loss, val_loss = phase1_step(net, sgd, adam, train_stream, val_stream, step)
             step += 1
             digests.append(net.arch.digest())
-            phi = expected_cost(net.arch.numpy(), table, scope)
+            phi = expected_cost(net.arch.theta.data, table, scope)
             rows.append(LogRow(step, round_idx, "search", train_loss, val_loss, *phi, lam1, lam2, box.feasible(phi, proj.feas_tol), None))
 
         res = project(net.arch.numpy(), box, table, scope, replace(proj, lambda1=lam1, lambda2=lam2))

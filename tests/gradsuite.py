@@ -407,6 +407,19 @@ def _case_softmax(seed):
     return f, x0
 
 
+def _case_softmax_part(seed):
+    """The softmax of one row of a longer logits vector: the gradient is
+    zero outside the row."""
+    rng = _rng(seed)
+    x0 = Tensor(rng.standard_normal(12) * 2)
+    r = _proj(_rng(seed + 999), (5,))
+
+    def f(x):
+        return _scalarize(ad.softmax(x, slice(3, 8)), r)
+
+    return f, x0
+
+
 def _case_softmax_dot_u(seed):
     """Composite from the cost model: softmax(theta) . u as one chain."""
     rng = _rng(seed)
@@ -484,6 +497,7 @@ def engine_cases() -> list[tuple[str, object, object]]:
         cases.append((f"crop_offset[{s}]", *_case_crop(900 + s)))
         cases.append((f"channel_shuffle[{s}]", *_case_shuffle(1000 + s)))
         cases.append((f"softmax[{s}]", *_case_softmax(1100 + s)))
+        cases.append((f"softmax_part[{s}]", *_case_softmax_part(1150 + s)))
         cases.append((f"softmax_dot_u[{s}]", *_case_softmax_dot_u(1200 + s)))
         cases.append((f"cross_entropy[{s}]", *_case_cross_entropy(1300 + s)))
         cases.append((f"tensor_sum[{s}]", *_case_tensor_sum(1400 + s)))

@@ -340,6 +340,12 @@ def test_arch_params_digest_and_load():
 
     with pytest.raises(ValueError):
         a.load({("connect", (0, 1)): np.zeros(17)})
+    # a map must hold every key at its length: a partial one is refused, not merged
+    with pytest.raises(ValueError, match="missing key"):
+        a.load({k: v for k, v in a.numpy().items() if k != ("connect", (0, 1))})
+    with pytest.raises(ValueError, match="shape"):
+        a.load({**a.numpy(), ("connect", (0, 1)): np.zeros(17)})
+    assert a.digest() == b.digest()
 
 
 def test_export_dot_lists_every_chosen_edge():

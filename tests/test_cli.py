@@ -408,6 +408,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
         # JSON Schema counts 64.0 as an integer; the program needs an int
         (_tiny_config(data={"n": 64.0}), "config invalid at data/n: 64.0 is not of type 'integer'"),
         (_tiny_config(plan={"n_cells": 1.0}), "config invalid at plan/n_cells: 1.0 is not of type 'integer'"),
+        (_tiny_config(data={"name": "stripes"}), "config invalid at data/name: 'stripes' is not one of"),
     ],
     ids=[
         "manifest-of-a-manifest",
@@ -416,6 +417,7 @@ def test_unknown_key_exits_2(tmp_path, capsys):
         "weight-beyond-float64",
         "count-as-float",
         "n-cells-as-float",
+        "removed-dataset",
     ],
 )
 def test_flags_leave_an_invalid_config_invalid(tmp_path, capsys, doc, error):
@@ -432,6 +434,26 @@ def test_bad_nested_value_names_path(tmp_path, capsys):
     p.write_text(json.dumps(_tiny_config(search={"epochs": 0})))
     assert main(["search", "--config", str(p)]) == 2
     assert "search/epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value,path",
+    [("seed", list(range(20000)), "data/seed"), ("image_hw", ["x"] * 20000, "data/image_hw/0")],
+    ids=["seed-as-array", "image-hw-as-strings"],
+)
+def test_a_large_invalid_value_gives_one_bounded_error_line(tmp_path, capsys, key, value, path):
+    # each schema message quotes its value, and an array of strings gives
+    # one error per element, so the line is cut to a fixed size
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "toy_blobs.json").read_text())
+    doc["data"][key] = value
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    assert main(["search", "--config", str(p), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 2048
+    assert f"config invalid at {path}: " in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_nan_constraint_bound_exits_2(tmp_path, capsys):

@@ -17,7 +17,6 @@ from rcnas.data import (
     make_blobs,
     make_dataset,
     make_shapes,
-    make_stripes,
     normalization_stats,
     normalize,
     split_dataset,
@@ -28,7 +27,7 @@ def _rng(seed=0):
     return np.random.default_rng(np.random.SeedSequence(seed))
 
 
-@pytest.mark.parametrize("maker,n_classes", [(make_shapes, 4), (make_stripes, 2), (make_blobs, 3)])
+@pytest.mark.parametrize("maker,n_classes", [(make_shapes, 4), (make_blobs, 3)])
 def test_generators_produce_valid_datasets(maker, n_classes):
     ds = maker(64, (16, 16), seed=3)
     assert len(ds) == 64
@@ -52,8 +51,8 @@ def test_generators_are_deterministic_in_seed():
 
 
 def test_make_dataset_dispatch():
-    ds = make_dataset("stripes", 16, (8, 8), seed=0)
-    assert ds.name == "stripes" and len(ds) == 16
+    ds = make_dataset("blobs", 16, (8, 8), seed=0)
+    assert ds.name == "blobs" and len(ds) == 16
     with pytest.raises(ValueError):
         make_dataset("imagenet", 16)
 

@@ -215,6 +215,32 @@ def test_reference_convnet_forward_and_loss():
     np.testing.assert_array_equal(out.data, net2.forward(Tensor(x)).data)
 
 
+def test_supernet_logits_gradient_matches_finite_differences():
+    # two reduction cells read one row of the logits, so that row collects
+    # the gradients of both cells' softmaxes
+    plan = NetworkPlan(n_cells=3, init_channels=4, n_classes=3, image_hw=(8, 8), n_nodes=4, k_levels=1)
+    assert plan.cell_kind_list() == ["normal.0", "reduce", "reduce"]
+    net = Supernet(plan, seed=5)
+    theta = net.arch.theta
+    assert theta.data.shape == (36,) and theta.data.dtype == np.float64
+    rng = np.random.default_rng(6)
+    x, y = rng.standard_normal((2, 3, 8, 8)), rng.integers(0, 3, size=2)
+    theta.data = rng.standard_normal(36)
+    with Tape() as tape:
+        loss, _ = net.loss(x, y)
+        tape.backward(loss)
+    grad, base = theta.grad.copy(), theta.data.copy()
+
+    def loss_at(v):
+        theta.data = v
+        return float(net.loss(x, y)[0].data)
+
+    h = 1e-5
+    fd = np.array([(loss_at(base + h * e) - loss_at(base - h * e)) / (2 * h) for e in np.eye(36)])
+    assert np.abs(grad).max() > 1e-2
+    np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-8)
+
+
 def test_supernet_weight_step_backward_frees_as_it_goes():
     # backward releases each entry once it has run, so its peak barely
     # rises above what forward left on the tape; a tape that kept every

@@ -12,7 +12,7 @@ from rcnas import ops
 from rcnas import projection as projection_module
 from rcnas.autodiff import Tensor
 from rcnas.cells import CellTemplate
-from rcnas.cost import ConstraintBox, CostScope, CostTable, EdgeCost, build_cost_table, expected_cost, scope_edges
+from rcnas.cost import ConstraintBox, CostScope, CostTable, EdgeCost, build_cost_table, expected_cost, scope_edges, violation
 from rcnas.network import NetworkPlan
 from rcnas.optim import Adam
 from rcnas.projection import (
@@ -172,19 +172,14 @@ def test_max_iters_zero_returns_anchor():
     assert not res.feasible and res.iterations == 0
 
 
-def test_trajectory_recording():
+def test_projection_closes_a_violation_of_25():
     table = _one_costly_edge_table()
     theta = _uniform(table)
-    cfg = ProjectionConfig(lr=3e-3, max_iters=600)
-    res = project(theta, _box(25.0), table, CostScope.FULL_DAG, cfg=cfg, record_trajectory=True)
-    assert len(res.trajectory) == res.iterations + 1
-    assert res.trajectory[0]["iteration"] == 0
-    assert res.trajectory[-1]["iteration"] == res.iterations
-    assert res.trajectory[0]["violation"] == pytest.approx(25.0)
-    assert res.trajectory[-1]["violation"] <= 25.0 * 1e-5
-    assert set(res.trajectory[0]) == {
-        "iteration", "objective", "phi_params", "phi_flops", "violation",
-    }
+    box = _box(25.0)
+    assert sum(sum(v) for v in violation(expected_cost(theta, table, CostScope.FULL_DAG), box)) == pytest.approx(25.0)
+    res = project(theta, box, table, CostScope.FULL_DAG, cfg=ProjectionConfig(lr=3e-3, max_iters=600))
+    assert res.feasible
+    assert sum(sum(v) for v in violation(res.phi, box)) <= 25.0 * 1e-5
 
 
 def test_topk_scope_frozen_from_anchor():
@@ -286,7 +281,7 @@ def test_project_matches_reference_loop(box):
         if not box.feasible(expected_cost(theta, table, CostScope.TOP_K)):
             anchors.append(theta)
     for theta in anchors:
-        res = project(theta, box, table, CostScope.TOP_K, cfg, record_trajectory=True)
+        res = project(theta, box, table, CostScope.TOP_K, cfg)
         ref_theta, ref_iters, ref_feasible, ref_phi, ref_h = _reference_project(
             theta, box, table, CostScope.TOP_K, cfg, cfg.lambda1, cfg.lambda2
         )
@@ -295,7 +290,6 @@ def test_project_matches_reference_loop(box):
             np.testing.assert_allclose(res.theta_p[key], ref_theta[key], rtol=0, atol=1e-9)
         np.testing.assert_allclose(res.phi, ref_phi, rtol=1e-9)
         assert res.objective == pytest.approx(ref_h[-1], rel=1e-9)
-        np.testing.assert_allclose([t["objective"] for t in res.trajectory], ref_h, rtol=1e-9)
 
 
 @pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
@@ -352,11 +346,8 @@ def test_project_result_bytes_are_pinned(scope, box_name, lr):
     anchors = [
         {key: rng.standard_normal(table.templates[key[0]].n_ops) for key in table.theta_keys()} for _ in range(4)
     ]
-    plain = [project(theta, box, table, scope, cfg) for theta in anchors]
-    traced = [project(theta, box, table, scope, cfg, record_trajectory=True) for theta in anchors]
-    digest = _result_digest(plain, table)
-    assert _result_digest(traced, table) == digest
-    assert digest == _PINNED_DIGESTS[(scope.value, box_name, lr)]
+    results = [project(theta, box, table, scope, cfg) for theta in anchors]
+    assert _result_digest(results, table) == _PINNED_DIGESTS[(scope.value, box_name, lr)]
 
 
 @pytest.mark.parametrize("scope", [CostScope.TOP_K, CostScope.FULL_DAG], ids=["topk", "fulldag"])
